@@ -22,7 +22,6 @@ from .poly import (
 from .qanalogs import (
     InternalNonDivisibleError,
     NotPrimeError,
-    QParams,
     is_prime,
     modulus,
     q_binomial,
@@ -33,7 +32,6 @@ from .statements import (
     STATEMENT_IDS,
     BudgetExceededError,
     CheckResult,
-    JacobsthalResult,
     PrecondViolationError,
     binom,
     check_clark,
@@ -58,12 +56,10 @@ __all__ = [
     "CongruenceContext",
     "DenominatorNotUnitError",
     "InternalNonDivisibleError",
-    "JacobsthalResult",
     "NonMonicDivisorError",
     "NotDivisibleError",
     "NotPrimeError",
     "Poly",
-    "QParams",
     "QRational",
     "STATEMENT_IDS",
     "binom",

@@ -13,7 +13,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from time import perf_counter
 from typing import Iterator
 
 from . import statements as st
@@ -22,15 +21,6 @@ from .qanalogs import is_prime, modulus, q_binomial
 
 REPORT_VERSION = "1.0"
 WITNESS_COEFF_CAP = 16
-
-#: Statements that take no prime parameter at all.
-_NO_PRIME = ("qchu",)
-#: Statements that are exact identities or hold for every prime.
-_ALL_PRIMES = ("expansion", "convolution", "clark")
-#: Statements taking (p, a, b) grids; the rest take only p.
-_PAB = ("expansion", "clark", "q_ljunggren", "cong2", "classical")
-#: Statements accepting a k override for the modulus exponent.
-_K_OVERRIDABLE = ("clark", "q_ljunggren", "cong2", "q_wolstenholme")
 
 
 @dataclass
@@ -154,7 +144,8 @@ def _truncate_witness(witness: Poly | None) -> dict | None:
 
 
 def _parse_p_values(text: str) -> list[int]:
-    """Parse '5,7,11' or a range '5..13' into an integer list."""
+    """Parse '5,7,11' or a range '5..13' into an integer list, dropping
+    repeats and keeping first-seen order."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -162,7 +153,7 @@ def _parse_p_values(text: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",") if v.strip()]
+    return list(dict.fromkeys(int(v) for v in text.split(",") if v.strip()))
 
 
 def _ab_pairs(cfg: RunConfig) -> list[tuple[int, int]]:
@@ -170,16 +161,17 @@ def _ab_pairs(cfg: RunConfig) -> list[tuple[int, int]]:
     return [(a, b) for a in range(cfg.a_max + 1) for b in range(min(a, b_cap) + 1)]
 
 
-def _grid(stmt: str, cfg: RunConfig, primes: list[int]) -> Iterator[dict[str, int]]:
+def _grid(
+    entry: st.Statement, cfg: RunConfig, primes: list[int]
+) -> Iterator[dict[str, int]]:
     """Yield parameter dicts for the instances of one statement.
 
     With an explicit p list every prime is instantiated and out-of-scope
     combinations surface later as skips.  In the curated mode of 'all'
-    only applicable combinations are generated: identities at every
-    prime, congruence statements at p >= 5, and the classical p = 3
-    negative control only when requested.
+    only primes from the statement's ``min_p`` up are generated, plus its
+    negative-control primes when those are requested.
     """
-    if stmt == "qchu":
+    if entry.grid == "mnk":
         top = cfg.a_max + 3
         for m in range(top + 1):
             for n in range(top + 1):
@@ -187,77 +179,24 @@ def _grid(stmt: str, cfg: RunConfig, primes: list[int]) -> Iterator[dict[str, in
                     yield {"m": m, "n": n, "k": k}
         return
     for p in primes:
-        if not cfg.explicit_p:
-            if stmt in _ALL_PRIMES:
-                applicable = True
-            elif stmt == "classical":
-                applicable = p >= 5 or (p == 3 and cfg.negative_controls)
-            else:
-                applicable = p >= 5
-            if not applicable:
-                continue
-        if stmt == "jacobsthal":
-            for a, b in _ab_pairs(cfg):
-                if 0 < b < a:
-                    yield {"p": p, "a": a, "b": b}
-        elif stmt in _PAB:
-            for a, b in _ab_pairs(cfg):
-                yield {"p": p, "a": a, "b": b}
-        else:
+        if not cfg.explicit_p and not (
+            p >= entry.min_p or (cfg.negative_controls and p in entry.control_primes)
+        ):
+            continue
+        if entry.grid == "p":
             yield {"p": p}
+            continue
+        for a, b in _ab_pairs(cfg):
+            if entry.grid == "pab" or 0 < b < a:
+                yield {"p": p, "a": a, "b": b}
 
 
 def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> ResultRecord:
-    kw = {}
-    if cfg.k_override is not None and stmt in _K_OVERRIDABLE:
-        kw["k"] = cfg.k_override
-    if stmt == "qchu":
-        res = st.check_qchu(params["m"], params["n"], params["k"])
-    elif stmt == "expansion":
-        res = st.check_expansion_identity(
-            params["p"], params["a"], params["b"], budget=cfg.budget
-        )
-    elif stmt == "convolution":
-        res = st.check_convolution_identity(params["p"])
-    elif stmt == "clark":
-        res = st.check_clark(params["p"], params["a"], params["b"], **kw)
-    elif stmt == "q_ljunggren":
-        res = st.check_q_ljunggren(params["p"], params["a"], params["b"], **kw)
-    elif stmt == "cong2":
-        res = st.check_cong2(params["p"], params["a"], params["b"], **kw)
-    elif stmt == "q_wolstenholme":
-        res = st.check_q_wolstenholme(params["p"], **kw)
-    elif stmt == "shipan":
-        res = st.check_shipan(params["p"])
-    elif stmt == "double_harmonic":
-        res = st.check_double_harmonic(params["p"])
-    elif stmt == "power_reduction":
-        res = st.check_power_reduction(params["p"])
-    elif stmt == "classical":
-        res = st.check_classical(params["p"], params["a"], params["b"])
-    elif stmt == "jacobsthal":
-        t0 = perf_counter()
-        p, a, b = params["p"], params["a"], params["b"]
-        jres = st.check_jacobsthal(p, a, b)
-        if jres.passed:
-            witness = None
-        else:
-            residue = (st.binom(a * p, b * p) - st.binom(a, b)) % p ** (3 + jres.r)
-            identity_gap = a * b * (a - b) * st.binom(a, b) - 2 * a * st.binom(
-                a, b + 1
-            ) * st.binom(b + 1, 2)
-            witness = Poly((residue or identity_gap,))
-        res = st.CheckResult(
-            statement_id="jacobsthal",
-            params={**params, "r": jres.r, "q_exponent": jres.q_exponent},
-            passed=jres.passed,
-            witness=witness,
-            elapsed_ms=(perf_counter() - t0) * 1000.0,
-        )
-    else:  # pragma: no cover - guarded by catalog validation
-        raise ValueError(f"unknown statement {stmt!r}")
-
-    expected = stmt == "classical" and params.get("p") == 3 and not res.passed
+    entry = st.STATEMENTS[stmt]
+    settings = {"k": cfg.k_override, "budget": cfg.budget}
+    kw = {name: settings[name] for name in entry.settings if settings[name] is not None}
+    res = entry.run(**params, **kw)
+    expected = params.get("p") in entry.control_primes and not res.passed
     return ResultRecord(
         statement=res.statement_id,
         params=res.params,
@@ -277,18 +216,17 @@ def run_checks(cfg: RunConfig) -> Report:
     errored: list[dict] = []
 
     for stmt in sorted(set(cfg.statements)):
-        if stmt not in _NO_PRIME:
+        entry = st.STATEMENTS[stmt]
+        if entry.grid != "mnk":
             for p in cfg.p_values:
                 if not is_prime(p):
                     skipped.append(
                         {"statement": stmt, "params": {"p": p}, "reason": "p is not prime"}
                     )
-        for params in _grid(stmt, cfg, primes):
+        for params in _grid(entry, cfg, primes):
             try:
                 results.append(_execute(stmt, params, cfg))
-            except st.PrecondViolationError as exc:
-                skipped.append({"statement": stmt, "params": params, "reason": str(exc)})
-            except st.BudgetExceededError as exc:
+            except (st.PrecondViolationError, st.BudgetExceededError) as exc:
                 skipped.append({"statement": stmt, "params": params, "reason": str(exc)})
             except Exception as exc:  # defensive: report, do not abort the batch
                 errored.append({"statement": stmt, "params": params, "error": repr(exc)})
@@ -410,7 +348,15 @@ def cmd_all(args: argparse.Namespace) -> int:
     return _emit(run_checks(cfg), cfg)
 
 
+def _taking(setting: str) -> str:
+    """The ids of the statements that accept one run-wide setting."""
+    return ", ".join(sid for sid, s in st.STATEMENTS.items() if setting in s.settings)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    controls = ", ".join(
+        f"{sid} at p={p}" for sid, s in st.STATEMENTS.items() for p in s.control_primes
+    )
     parser = argparse.ArgumentParser(
         prog="qcong",
         description="Exact verification of q-analog binomial congruences over Z[q].",
@@ -426,15 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--a-max", type=int, default=4)
     check.add_argument("--b-max", type=int, default=None)
     check.add_argument("--k-override", type=int, default=None,
-                       help="override the modulus exponent for clark, q_ljunggren, "
-                            "cong2 and q_wolstenholme")
+                       help="override the modulus exponent for " + _taking("k"))
     check.add_argument("--budget", type=int, default=10**6,
-                       help="cap on the (p+1)^a composition space of 'expansion'")
+                       help="cap on the (p+1)^a composition space of "
+                            + _taking("budget"))
     check.add_argument("--out", default=None, help="write a JSON report to this path")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--negative-controls", action="store_true",
-                       help="run the classical p=3 control; its expected failure "
-                            "does not affect the exit code")
+                       help=f"run the negative controls ({controls}); their "
+                            "expected failures do not affect the exit code")
     check.set_defaults(func=cmd_check)
 
     reduce_p = sub.add_parser("reduce",

@@ -8,7 +8,6 @@ what makes ([p]_q)^k the natural polynomial analog of the prime power p^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import NotDivisibleError, Poly
@@ -90,24 +89,3 @@ def modulus(p: int, k: int) -> Poly:
         raise ValueError(f"modulus exponent must be >= 1, got {k}")
     return q_number(p) ** k
 
-
-@dataclass(frozen=True)
-class QParams:
-    """Validated parameter bundle (p, a, b, k) for congruence statements.
-
-    Primality of p is checked here; statement-specific bounds such as
-    p >= 5 are enforced by the individual checks.
-    """
-
-    p: int
-    a: int
-    b: int
-    k: int = 3
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise NotPrimeError(f"p must be prime, got {self.p}")
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"a and b must be nonnegative, got a={self.a}, b={self.b}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")

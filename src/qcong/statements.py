@@ -13,27 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Callable, Literal
 
 from .congruence import CongruenceContext, QRational, q_double_harmonic, q_harmonic_sum
 from .poly import Poly
 from .qanalogs import is_prime, q_binomial, q_number
-
-#: Stable statement identifiers, as accepted by the CLI.
-STATEMENT_IDS = (
-    "clark",
-    "classical",
-    "cong2",
-    "convolution",
-    "double_harmonic",
-    "expansion",
-    "jacobsthal",
-    "power_reduction",
-    "q_ljunggren",
-    "q_wolstenholme",
-    "qchu",
-    "shipan",
-)
-
 
 class PrecondViolationError(ValueError):
     """The requested parameters are outside a statement's hypotheses."""
@@ -62,20 +46,6 @@ class CheckResult:
             raise ValueError(f"unknown statement id {self.statement_id!r}")
         if self.passed != (self.witness is None or self.witness.is_zero()):
             raise ValueError("witness must be absent or zero iff passed")
-
-
-@dataclass(frozen=True)
-class JacobsthalResult:
-    """Outcome of the sharpened integer congruence mod p^(3+r).
-
-    ``r`` is the p-adic valuation of a*b*(a-b)*binom(a,b).  ``q_exponent``
-    is exploratory data: the largest k <= 5 for which the corrected
-    q-congruence still holds modulo ([p]_q)^k.
-    """
-
-    r: int
-    passed: bool
-    q_exponent: int
 
 
 _pascal_rows: list[tuple[int, ...]] = [(1,)]
@@ -140,6 +110,16 @@ def _qp_minus_one(p: int) -> Poly:
 def _two_power(p: int) -> Poly:
     # [2] evaluated at q^(p^2), i.e. 1 + q^(p^2)
     return q_number(2).substitute_power(p * p)
+
+
+def _ljunggren_gap(p: int, a: int, b: int) -> Poly:
+    """Left side minus right side of check_q_ljunggren's congruence, unreduced."""
+    corr = binom(a, b + 1) * binom(b + 1, 2) * _exact_scalar(p * p - 1, 12)
+    return (
+        q_binomial(a * p, b * p)
+        - q_binomial(a, b).substitute_power(p * p)
+        + corr * _qp_minus_one(p) ** 2
+    )
 
 
 def check_qchu(m: int, n: int, k: int) -> CheckResult:
@@ -261,11 +241,7 @@ def check_q_ljunggren(p: int, a: int, b: int, k: int = 3) -> CheckResult:
     t0 = perf_counter()
     _require_prime(p, "q_ljunggren", minimum=5)
     _require(0 <= b <= a, f"q_ljunggren needs 0 <= b <= a, got a={a}, b={b}")
-    ctx = CongruenceContext(p, k)
-    corr = binom(a, b + 1) * binom(b + 1, 2) * _exact_scalar(p * p - 1, 12)
-    lhs = q_binomial(a * p, b * p)
-    rhs = q_binomial(a, b).substitute_power(p * p) - corr * _qp_minus_one(p) ** 2
-    diff = ctx.reduce(lhs - rhs)
+    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, a, b))
     return _finish("q_ljunggren", {"p": p, "a": a, "b": b, "k": k}, diff, t0)
 
 
@@ -299,11 +275,7 @@ def check_q_wolstenholme(p: int, k: int = 3) -> CheckResult:
     """
     t0 = perf_counter()
     _require_prime(p, "q_wolstenholme", minimum=5)
-    ctx = CongruenceContext(p, k)
-    corr = _exact_scalar(p * p - 1, 12)
-    lhs = q_binomial(2 * p, p)
-    rhs = _two_power(p) - corr * _qp_minus_one(p) ** 2
-    diff = ctx.reduce(lhs - rhs)
+    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, 2, 1))
     return _finish("q_wolstenholme", {"p": p, "k": k}, diff, t0)
 
 
@@ -448,16 +420,19 @@ def check_classical(p: int, a: int, b: int) -> CheckResult:
     )
 
 
-def check_jacobsthal(p: int, a: int, b: int) -> JacobsthalResult:
+def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
     """Jacobsthal's sharpening: binom(ap, bp) = binom(a, b) mod p^(3+r)
     with r the p-adic valuation of a*b*(a-b)*binom(a, b), for p >= 5 and
     0 < b < a.  Also cross-checks the identity
 
-        a*b*(a-b)*binom(a, b) = 2a * binom(a, b+1) * binom(b+1, 2)
+        a*b*(a-b)*binom(a, b) = 2a * binom(a, b+1) * binom(b+1, 2).
 
-    and records the largest k <= 5 for which the corrected q-congruence
-    of check_q_ljunggren still holds modulo ([p]_q)^k.
+    The witness is the residue mod p^(3+r), or the identity's gap when the
+    residue is zero.  ``q_exponent`` in the params is exploratory data: the
+    largest k <= 5 for which the corrected q-congruence of
+    check_q_ljunggren still holds modulo ([p]_q)^k.
     """
+    t0 = perf_counter()
     _require_prime(p, "jacobsthal", minimum=5)
     _require(0 < b < a, f"jacobsthal needs 0 < b < a, got a={a}, b={b}")
     value = a * b * (a - b) * binom(a, b)
@@ -466,18 +441,62 @@ def check_jacobsthal(p: int, a: int, b: int) -> JacobsthalResult:
     while v % p == 0:
         v //= p
         r += 1
-    cong_ok = (binom(a * p, b * p) - binom(a, b)) % p ** (3 + r) == 0
-    identity_ok = value == 2 * a * binom(a, b + 1) * binom(b + 1, 2)
+    residue = (binom(a * p, b * p) - binom(a, b)) % p ** (3 + r)
+    identity_gap = value - 2 * a * binom(a, b + 1) * binom(b + 1, 2)
 
-    corr = binom(a, b + 1) * binom(b + 1, 2) * _exact_scalar(p * p - 1, 12)
-    diff = (
-        q_binomial(a * p, b * p)
-        - q_binomial(a, b).substitute_power(p * p)
-        + corr * _qp_minus_one(p) ** 2
-    )
+    gap = _ljunggren_gap(p, a, b)
     q_exponent = 0
     for k in range(1, 6):
-        if not CongruenceContext(p, k).reduce(diff).is_zero():
+        if not CongruenceContext(p, k).reduce(gap).is_zero():
             break
         q_exponent = k
-    return JacobsthalResult(r=r, passed=cong_ok and identity_ok, q_exponent=q_exponent)
+    return _finish(
+        "jacobsthal",
+        {"p": p, "a": a, "b": b, "r": r, "q_exponent": q_exponent},
+        Poly((residue or identity_gap,)),
+        t0,
+    )
+
+
+@dataclass(frozen=True)
+class Statement:
+    """How a driver instantiates and runs one catalog statement.
+
+    ``grid`` is the parameter shape: (m, n, k), p alone, (p, a, b) with
+    0 <= b <= a, or (p, a, b) with 0 < b < a.  A curated catalog run uses
+    primes from ``min_p`` up, plus ``control_primes`` as negative controls
+    whose failures are expected.  ``run`` takes the grid's parameters and
+    the run-wide ``settings`` it accepts (``k``, ``budget``) as keywords;
+    it looks the check up by module name at call time, so a wrapped check
+    is the one that runs.
+    """
+
+    grid: Literal["mnk", "p", "pab", "pab_inner"]
+    run: Callable[..., CheckResult]
+    min_p: int = 5
+    control_primes: tuple[int, ...] = ()
+    settings: tuple[str, ...] = ()
+
+
+#: The statement catalog, keyed by the stable ids the CLI accepts.
+STATEMENTS: dict[str, Statement] = {
+    "clark": Statement("pab", lambda **kw: check_clark(**kw), min_p=2, settings=("k",)),
+    "classical": Statement("pab", lambda **kw: check_classical(**kw), control_primes=(3,)),
+    "cong2": Statement("pab", lambda **kw: check_cong2(**kw), settings=("k",)),
+    "convolution": Statement("p", lambda **kw: check_convolution_identity(**kw), min_p=2),
+    "double_harmonic": Statement("p", lambda **kw: check_double_harmonic(**kw)),
+    "expansion": Statement(
+        "pab", lambda **kw: check_expansion_identity(**kw), min_p=2, settings=("budget",)
+    ),
+    "jacobsthal": Statement("pab_inner", lambda **kw: check_jacobsthal(**kw)),
+    "power_reduction": Statement("p", lambda **kw: check_power_reduction(**kw)),
+    "q_ljunggren": Statement("pab", lambda **kw: check_q_ljunggren(**kw), settings=("k",)),
+    "q_wolstenholme": Statement(
+        "p", lambda **kw: check_q_wolstenholme(**kw), settings=("k",)
+    ),
+    "qchu": Statement("mnk", lambda **kw: check_qchu(**kw)),
+    "shipan": Statement("p", lambda **kw: check_shipan(**kw)),
+}
+
+#: Stable statement identifiers, as accepted by the CLI.
+STATEMENT_IDS = tuple(STATEMENTS)

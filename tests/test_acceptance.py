@@ -18,6 +18,7 @@ from qcong.congruence import CongruenceContext, DenominatorNotUnitError, QRation
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial
 from qcong.statements import (
+    CheckResult,
     binom,
     check_clark,
     check_convolution_identity,
@@ -167,7 +168,13 @@ def test_criterion_08c_cleared_polynomial_control_at_p3():
 
 def test_criterion_09_jacobsthal_sharpening():
     res = check_jacobsthal(5, 5, 1)
-    ok_case = res.r == 2 and res.passed
+    ok_case = (
+        isinstance(res, CheckResult)
+        and res.params["r"] == 2
+        and res.params["q_exponent"] >= 3
+        and res.passed
+        and res.witness is None
+    )
     ok_values = binom(25, 5) == 53130 and 53130 % 5**5 == 5 and 53130 - 5 == 17 * 3125
     ok_identity = all(
         a * b * (a - b) * binom(a, b) == 2 * a * binom(a, b + 1) * binom(b + 1, 2)
@@ -176,8 +183,8 @@ def test_criterion_09_jacobsthal_sharpening():
     )
     _verdict(
         "09",
-        "binom(25,5) = 5 mod 5^5 with r = 2; a*b*(a-b)*binom(a,b) identity "
-        "for 0 < b < a <= 20",
+        "binom(25,5) = 5 mod 5^5 with r = 2 and q_exponent >= 3; "
+        "a*b*(a-b)*binom(a,b) identity for 0 < b < a <= 20",
         ok_case and ok_values and ok_identity,
     )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ def test_parse_p_values():
     assert _parse_p_values("5,7,11") == [5, 7, 11]
     assert _parse_p_values("5..13") == [5, 6, 7, 8, 9, 10, 11, 12, 13]
     assert _parse_p_values(" 3 ") == [3]
+    assert _parse_p_values("5,7,5") == [5, 7]
     with pytest.raises(ValueError):
         _parse_p_values("7..5")
     with pytest.raises(ValueError):
@@ -96,14 +98,20 @@ def test_b_max_caps_the_grid(capsys):
     assert any(r["params"]["a"] == 4 for r in report["results"])
 
 
-def test_k_override_reaches_the_checks(capsys):
+@pytest.mark.parametrize(
+    "statement, k",
+    [("clark", 3), ("q_ljunggren", 4), ("cong2", 4), ("q_wolstenholme", 4)],
+)
+def test_k_override_reaches_the_checks(capsys, statement, k):
+    # cong2 is exact for a <= 2, so the grid runs to a = 3 to see it fail.
     code = main([
-        "check", "--statements", "clark", "--p", "5", "--a-max", "2",
-        "--k-override", "3", "--format", "json",
+        "check", "--statements", statement, "--p", "5", "--a-max", "3",
+        "--k-override", str(k), "--format", "json",
     ])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert all(r["params"]["k"] == 3 for r in report["results"])
+    assert report["results"]
+    assert all(r["params"]["k"] == k for r in report["results"])
     assert any(not r["passed"] for r in report["results"])
 
 
@@ -223,6 +231,37 @@ def test_all_small_run_passes(capsys):
     assert "q_ljunggren" in ran and "shipan" in ran and "jacobsthal" in ran
     assert report["summary"]["failed"] == 0
     assert report["summary"]["errored"] == 0
+
+
+def test_all_grid_is_pinned(capsys):
+    # Pins each statement's grid shape, smallest prime and control prime in
+    # the curated catalog run, including jacobsthal's 0 < b < a filter.
+    code = main([
+        "all", "--p-max", "7", "--a-max", "2", "--negative-controls", "--format", "json",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["summary"]["expected_failures"] == 6
+    assert report["summary"]["skipped"] == 0
+    counts = Counter(r["statement"] for r in report["results"])
+    primes: dict[str, set[int]] = {}
+    for r in report["results"]:
+        if "p" in r["params"]:
+            primes.setdefault(r["statement"], set()).add(r["params"]["p"])
+    assert counts == {
+        "clark": 24, "classical": 18, "cong2": 12, "convolution": 4,
+        "double_harmonic": 2, "expansion": 24, "jacobsthal": 2,
+        "power_reduction": 2, "q_ljunggren": 12, "q_wolstenholme": 2,
+        "qchu": 216, "shipan": 2,
+    }
+    assert "qchu" not in primes
+    for sid, used in primes.items():
+        if sid in ("clark", "convolution", "expansion"):
+            assert used == {2, 3, 5, 7}, sid
+        elif sid == "classical":
+            assert used == {3, 5, 7}, sid
+        else:
+            assert used == {5, 7}, sid
 
 
 def test_exit_zero_iff_no_failures(capsys):

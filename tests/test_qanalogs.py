@@ -10,7 +10,6 @@ from conftest import qbinom_pascal, qbinom_pascal_triangle
 from qcong.poly import Poly
 from qcong.qanalogs import (
     NotPrimeError,
-    QParams,
     is_prime,
     modulus,
     q_binomial,
@@ -119,17 +118,6 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-3, 32):
         assert is_prime(n) == (n in primes)
-
-
-def test_qparams_validation():
-    params = QParams(p=5, a=2, b=1)
-    assert params.k == 3
-    with pytest.raises(NotPrimeError):
-        QParams(p=6, a=1, b=0)
-    with pytest.raises(ValueError):
-        QParams(p=5, a=-1, b=0)
-    with pytest.raises(ValueError):
-        QParams(p=5, a=1, b=0, k=0)
 
 
 def test_oracle_triangle_is_self_consistent():

@@ -297,31 +297,35 @@ def test_classical_validation():
 
 def test_jacobsthal_5_5_1():
     res = check_jacobsthal(5, 5, 1)
-    assert res.r == 2
-    assert res.passed
+    assert isinstance(res, CheckResult)
+    assert res.params["r"] == 2
+    assert res.passed and res.witness is None
     assert binom(25, 5) == 53130
     assert (53130 - 5) == 17 * 3125
 
 
 def test_jacobsthal_base_case():
     res = check_jacobsthal(5, 2, 1)
-    assert res.r == 0
-    assert res.passed
+    assert isinstance(res, CheckResult)
+    assert res.params["r"] == 0
+    assert res.passed and res.witness is None
 
 
 def test_jacobsthal_7_7_2():
     # v_7(7*2*5*21) = 2: both the explicit factor 7 and the 7 inside
     # binom(7,2) = 21 count, so the congruence sharpens to mod 7^5.
     res = check_jacobsthal(7, 7, 2)
-    assert res.r == 2
-    assert res.passed
+    assert isinstance(res, CheckResult)
+    assert res.params["r"] == 2
+    assert res.passed and res.witness is None
     assert (binom(49, 14) - binom(7, 2)) % 7**5 == 0
 
 
 def test_jacobsthal_q_exponent_is_at_least_three():
     for p, a, b in ((5, 5, 1), (7, 7, 2), (5, 3, 1)):
         res = check_jacobsthal(p, a, b)
-        assert 3 <= res.q_exponent <= 5
+        assert isinstance(res, CheckResult) and res.witness is None
+        assert 3 <= res.params["q_exponent"] <= 5
 
 
 def test_jacobsthal_validation():
