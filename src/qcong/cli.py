@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator
 
 from . import statements as st
+from .congruence import CongruenceContext
 from .poly import Poly
-from .qanalogs import is_prime, modulus, q_binomial
+from .qanalogs import is_prime, q_binomial
 
 REPORT_VERSION = "1.0"
 WITNESS_COEFF_CAP = 16
@@ -261,13 +263,14 @@ def run_checks(cfg: RunConfig) -> Report:
 
 
 def _emit(report: Report, cfg: RunConfig) -> int:
+    # the file first, so that it is written even if stdout's reader hangs up
+    if cfg.output_path:
+        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
     if cfg.format == "json":
         print(report.to_json())
     else:
         print(report.render_text())
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
     return 0 if report.summary["failed"] == 0 and report.summary["errored"] == 0 else 1
 
 
@@ -296,6 +299,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("error: need --a-max >= 0, --b-max >= 0, --budget >= 1, "
               "--k-override >= 1", file=sys.stderr)
         return 2
+    takes_k = any("k" in st.STATEMENTS[s].settings for s in stmts)
+    if args.k_override is not None and not takes_k:
+        print(f"error: --k-override applies only to {_taking('k')}", file=sys.stderr)
+        return 2
     cfg = RunConfig(
         statements=stmts,
         p_values=p_values,
@@ -320,8 +327,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.power < 1:
         print(f"error: power must be >= 1, got {args.power}", file=sys.stderr)
         return 2
-    mod = modulus(args.p, args.power)
-    _, rem = q_binomial(args.n, args.k).divrem_monic(mod)
+    rem = CongruenceContext(args.p, args.power).reduce(q_binomial(args.n, args.k))
     print(f"q_binomial({args.n}, {args.k}) mod ([{args.p}]_q)^{args.power}:")
     print(f"  coefficients: {list(rem.coeffs)}")
     print(f"  polynomial:   {rem}")
@@ -409,7 +415,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize --help's 0 as well
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader hung up: let the flush at exit go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ p = 5, are coprime to [p]_q yet not units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .poly import Poly
 from .qanalogs import is_prime, modulus, q_factorial, q_number
@@ -73,10 +74,23 @@ class CongruenceContext:
     def reduce(self, a: Poly) -> Poly:
         """Canonical remainder of a modulo ([p]_q)^k; degree < k(p-1).
 
-        Coefficients are not range-normalized: the degree bound alone makes
-        the representative unique in Z[q].
+        a is first folded modulo (q^p - 1)^k = (1 - q)^k ([p]_q)^k, which has
+        k + 1 terms, all at multiples of p, a block of p coefficients at a time;
+        the fewer than kp left are divided by ([p]_q)^k.  Coefficients are not
+        range-normalized: the degree bound makes the remainder unique in Z[q].
         """
-        return a.divrem_monic(self.modulus)[1]
+        p, k = self.p, self.k
+        r = list(a.coeffs)
+        if len(r) > k * p:
+            r += [0] * (-len(r) % p)
+            blocks = [r[i:i + p] for i in range(0, len(r), p)]
+            terms = [(j, (-1) ** (k - j) * comb(k, j)) for j in range(k)]
+            for s in reversed(range(len(blocks) - k)):
+                top = blocks[s + k]
+                for j, c in terms:
+                    blocks[s + j] = [x - c * y for x, y in zip(blocks[s + j], top)]
+            r = [x for b in blocks[:k] for x in b]
+        return Poly(r).divrem_monic(self.modulus)[1]
 
     def congruent(self, a: Poly, b: Poly) -> bool:
         """True iff ([p]_q)^k divides a - b in Z[q]."""

@@ -9,8 +9,9 @@ what makes ([p]_q)^k the natural polynomial analog of the prime power p^k.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
-from .poly import NotDivisibleError, Poly
+from .poly import Poly
 
 
 class NotPrimeError(ValueError):
@@ -61,24 +62,26 @@ def q_binomial(n: int, k: int) -> Poly:
     k(n-k) with nonnegative coefficients.
 
     Out-of-range k (k < 0 or k > n) yields the zero polynomial, matching
-    the convention for unrestricted summation indices.  Built as the
-    incremental product of [n-k+i]_q / [i]_q for i = 1..k; every partial
-    product is itself a Gaussian binomial, so each division is exact.
+    the convention for unrestricted summation indices.  Built as the product
+    of (1 - q^(n-k+i)) / (1 - q^i), i = 1..k, without polynomial products:
+    times 1 - q^m is a shifted subtraction, over 1 - q^i is stride-i prefix
+    sums, exact (the last i sums vanish) as each partial product is C_q(m, i).
     """
     if n < 0:
         raise ValueError(f"q_binomial needs n >= 0, got {n}")
     if k < 0 or k > n:
         return Poly()
     k = min(k, n - k)
-    acc = Poly((1,))
-    try:
-        for i in range(1, k + 1):
-            acc = (acc * q_number(n - k + i)).exact_div(q_number(i))
-    except NotDivisibleError as exc:
-        raise InternalNonDivisibleError(
-            f"q_binomial({n}, {k}) hit an inexact division step"
-        ) from exc
-    return acc
+    acc = [1]
+    for i in range(1, k + 1):
+        m = n - k + i
+        acc = [a - b for a, b in zip(acc + [0] * m, [0] * m + acc)]
+        for r in range(i):
+            acc[r::i] = accumulate(acc[r::i])
+        if any(acc[-i:]):
+            raise InternalNonDivisibleError(f"q_binomial({n}, {k}): inexact division step")
+        del acc[-i:]
+    return Poly(acc)
 
 
 def modulus(p: int, k: int) -> Poly:

@@ -5,8 +5,9 @@ plain coefficient lists built with the Pascal-type recurrence
 
     C_q(m, j) = C_q(m-1, j-1) + q^j * C_q(m-1, j),
 
-so agreement with the package's product construction is a genuine
-cross-check rather than a tautology.
+so agreement with the package's construction (a product of
+(1 - q^m)/(1 - q^i) factors done by shifted subtractions and stride-i
+prefix sums) is a genuine cross-check rather than a tautology.
 """
 
 from __future__ import annotations

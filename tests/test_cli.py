@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,26 @@ def test_k_override_reaches_the_checks(capsys, statement, k):
     assert any(not r["passed"] for r in report["results"])
 
 
+def test_k_override_without_a_k_statement_is_a_usage_error(capsys):
+    code = main(["check", "--statements", "shipan", "--p", "5", "--k-override", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert ("--k-override applies only to clark, cong2, q_ljunggren, q_wolstenholme"
+            in captured.err)
+
+
+def test_k_override_applies_to_the_statements_that_take_it(capsys):
+    code = main([
+        "check", "--statements", "clark,shipan", "--p", "5", "--a-max", "2",
+        "--k-override", "3", "--format", "json",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1  # clark fails modulo ([5]_q)^3 at (a, b) = (2, 1)
+    ks = {r["statement"]: r["params"].get("k") for r in report["results"]}
+    assert ks == {"clark": 3, "shipan": None}
+
+
 def test_budget_exceeded_becomes_a_skip(capsys):
     code = main([
         "check", "--statements", "expansion", "--p", "2", "--a-max", "9",
@@ -166,6 +190,25 @@ def test_text_and_json_agree(capsys):
             line.startswith(verdict) and record["statement"] in line and needle in line
             for line in text.splitlines()
         ), record
+
+
+def test_closed_pipe_prints_no_traceback(tmp_path):
+    # The JSON report (about 120 kB) overfills the pipe, so the write after
+    # the reader hangs up fails with EPIPE.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcong", "check", "--statements", "qchu",
+         "--a-max", "4", "--format", "json", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
 
 
 def test_report_written_to_file(tmp_path, capsys):
@@ -285,7 +328,7 @@ def test_witness_is_truncated_in_reports(capsys):
 
 
 def test_q_binomial_exposed_for_drivers():
-    # the reduce command's exact path: remainder value at q=1 matches the
-    # integer congruence residue
+    # the plain division that the reduce command's fold must agree with:
+    # remainder value at q=1 matches the integer congruence residue
     rem = q_binomial(10, 5).divrem_monic(modulus(5, 3))[1]
     assert rem.eval_at_one() % 125 == 252 % 125

@@ -15,7 +15,7 @@ from qcong.congruence import (
     q_harmonic_sum,
 )
 from qcong.poly import Poly
-from qcong.qanalogs import NotPrimeError, q_binomial, q_factorial, q_number
+from qcong.qanalogs import NotPrimeError, modulus, q_binomial, q_factorial, q_number
 
 # Remainder of q_binomial(10, 5) modulo ([5]_q)^3, computed independently
 # (long division of both the Gaussian binomial and 1 + q^25 - 2(q^5-1)^2).
@@ -60,6 +60,25 @@ def test_reduce_against_sympy():
     sm = sum(c * q**i for i, c in enumerate(ctx.modulus.coeffs))
     _, srem = sympy.div(sa, sm, q, domain="QQ")
     assert sympy.expand(srem - sum(c * q**i for i, c in enumerate(rem.coeffs))) == 0
+
+
+@given(hst.data())
+def test_reduce_matches_monic_division(data):
+    # The fold modulo (q^p - 1)^k against plain division by ([p]_q)^k, for
+    # lengths up to 5kp and lengths at the fold's threshold kp.
+    p = data.draw(hst.sampled_from((2, 3, 5, 7, 11, 13)), label="p")
+    k = data.draw(hst.integers(1, 5), label="k")
+    length = data.draw(hst.one_of(
+        hst.integers(0, 5 * k * p),
+        hst.sampled_from((k * p - 1, k * p, k * p + 1)),
+    ), label="length")
+    bits = data.draw(hst.integers(0, 200), label="bits")
+    rnd = data.draw(hst.randoms(use_true_random=False))
+    coeffs = [rnd.randint(-(2**bits), 2**bits) for _ in range(length)]
+    if coeffs and not coeffs[-1]:
+        coeffs[-1] = 1
+    a = Poly(coeffs)
+    assert CongruenceContext(p, k).reduce(a) == a.divrem_monic(modulus(p, k))[1]
 
 
 @given(polys)

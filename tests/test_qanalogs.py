@@ -6,9 +6,12 @@ import math
 
 import pytest
 from conftest import qbinom_pascal, qbinom_pascal_triangle
+from hypothesis import given, strategies as hst
 
+from qcong import qanalogs
 from qcong.poly import Poly
 from qcong.qanalogs import (
+    InternalNonDivisibleError,
     NotPrimeError,
     is_prime,
     modulus,
@@ -52,6 +55,26 @@ def test_q_binomial_matches_pascal_oracle():
     for n in range(31):
         for k in range(n + 1):
             assert list(q_binomial(n, k).coeffs) == qbinom_pascal(n, k), (n, k)
+
+
+@given(hst.integers(0, 70).flatmap(
+    lambda n: hst.tuples(hst.just(n), hst.integers(-1, n + 1))
+))
+def test_q_binomial_matches_pascal_oracle_up_to_70(nk):
+    # one shared triangle: the oracle rebuilds it for every distinct n
+    n, k = nk
+    assert q_binomial(n, k).coeffs == qbinom_pascal_triangle(70).get((n, k), ())
+
+
+def test_q_binomial_guards_its_exact_divisions(monkeypatch):
+    # without the prefix sums the division by 1 - q^i leaves a nonzero tail
+    monkeypatch.setattr(qanalogs, "accumulate", list)
+    q_binomial.cache_clear()
+    try:
+        with pytest.raises(InternalNonDivisibleError):
+            q_binomial(6, 3)
+    finally:
+        q_binomial.cache_clear()
 
 
 def test_q_binomial_pascal_recurrence_holds_exactly():
