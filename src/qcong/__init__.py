@@ -1,7 +1,7 @@
 """Exact verification of q-analog binomial congruences over Z[q].
 
-The package computes q-numbers, q-factorials and Gaussian binomial
-coefficients in exact integer-polynomial arithmetic and mechanically
+The package computes q-numbers, Gaussian binomial coefficients and
+q-harmonic sums in exact integer-polynomial arithmetic and mechanically
 checks the classical and q-analog congruences built on them, centrally
 the q-analog of Ljunggren's congruence modulo ([p]_q)^3.
 """
@@ -25,7 +25,6 @@ from .qanalogs import (
     is_prime,
     modulus,
     q_binomial,
-    q_factorial,
     q_number,
 )
 from .statements import (
@@ -80,7 +79,6 @@ __all__ = [
     "modulus",
     "q_binomial",
     "q_double_harmonic",
-    "q_factorial",
     "q_harmonic_sum",
     "q_number",
 ]

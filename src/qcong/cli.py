@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import statements as st
 from .congruence import CongruenceContext
@@ -289,16 +289,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: bad --p value: {exc}", file=sys.stderr)
         return 2
-    bad_bounds = (
-        args.a_max < 0
-        or args.budget < 1
-        or (args.b_max is not None and args.b_max < 0)
-        or (args.k_override is not None and args.k_override < 1)
-    )
-    if bad_bounds:
-        print("error: need --a-max >= 0, --b-max >= 0, --budget >= 1, "
-              "--k-override >= 1", file=sys.stderr)
-        return 2
     takes_k = any("k" in st.STATEMENTS[s].settings for s in stmts)
     if args.k_override is not None and not takes_k:
         print(f"error: --k-override applies only to {_taking('k')}", file=sys.stderr)
@@ -324,9 +314,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if not is_prime(args.p):
         print(f"error: p must be prime, got {args.p}", file=sys.stderr)
         return 2
-    if args.power < 1:
-        print(f"error: power must be >= 1, got {args.power}", file=sys.stderr)
-        return 2
     rem = CongruenceContext(args.p, args.power).reduce(q_binomial(args.n, args.k))
     print(f"q_binomial({args.n}, {args.k}) mod ([{args.p}]_q)^{args.power}:")
     print(f"  coefficients: {list(rem.coeffs)}")
@@ -337,9 +324,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_all(args: argparse.Namespace) -> int:
-    if args.a_max < 0 or args.p_max < 2:
-        print("error: need --a-max >= 0 and --p-max >= 2", file=sys.stderr)
-        return 2
     primes = [p for p in range(2, args.p_max + 1) if is_prime(p)]
     cfg = RunConfig(
         statements=list(st.STATEMENT_IDS),
@@ -352,6 +336,17 @@ def cmd_all(args: argparse.Namespace) -> int:
         explicit_p=False,
     )
     return _emit(run_checks(cfg), cfg)
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integer options with a lower bound, so that both
+    subcommands reject an out-of-range value alike, with exit code 2."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _taking(setting: str) -> str:
@@ -375,11 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--p", default="5,7,11,13",
                        help="primes as a comma list '5,7,11' or range '5..13'; "
                             "non-primes are skipped")
-    check.add_argument("--a-max", type=int, default=4)
-    check.add_argument("--b-max", type=int, default=None)
-    check.add_argument("--k-override", type=int, default=None,
+    check.add_argument("--a-max", type=_at_least(0), default=4)
+    check.add_argument("--b-max", type=_at_least(0), default=None)
+    check.add_argument("--k-override", type=_at_least(1), default=None,
                        help="override the modulus exponent for " + _taking("k"))
-    check.add_argument("--budget", type=int, default=10**6,
+    check.add_argument("--budget", type=_at_least(1), default=10**6,
                        help="cap on the (p+1)^a composition space of "
                             + _taking("budget"))
     check.add_argument("--out", default=None, help="write a JSON report to this path")
@@ -394,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--n", type=int, required=True)
     reduce_p.add_argument("--k", type=int, required=True)
     reduce_p.add_argument("--p", type=int, required=True)
-    reduce_p.add_argument("--power", type=int, default=3)
+    reduce_p.add_argument("--power", type=_at_least(1), default=3)
     reduce_p.set_defaults(func=cmd_reduce)
 
     all_p = sub.add_parser("all", help="run the full statement catalog")
-    all_p.add_argument("--p-max", type=int, default=13)
-    all_p.add_argument("--a-max", type=int, default=4)
-    all_p.add_argument("--budget", type=int, default=10**6)
+    all_p.add_argument("--p-max", type=_at_least(2), default=13)
+    all_p.add_argument("--a-max", type=_at_least(0), default=4)
+    all_p.add_argument("--budget", type=_at_least(1), default=10**6)
     all_p.add_argument("--out", default=None)
     all_p.add_argument("--format", choices=("text", "json"), default="text")
     all_p.add_argument("--negative-controls", action="store_true")

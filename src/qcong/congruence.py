@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .poly import Poly
-from .qanalogs import is_prime, modulus, q_factorial, q_number
+from .qanalogs import is_prime, modulus, q_number
 
 
 class DenominatorNotUnitError(ValueError):
@@ -27,12 +27,14 @@ class DenominatorNotUnitError(ValueError):
 
 @dataclass(frozen=True)
 class QRational:
-    """A formal quotient of two integer polynomials.
+    """A formal quotient num/den of two integer polynomials, as taken by
+    CongruenceContext.frac_congruent.
 
-    No normalization is performed; num/den is kept exactly as built.
-    Congruence verdicts are invariant under scaling by units modulo
-    ([p]_q)^k (polynomials g with p not dividing g(1)), so canonical form is
-    never needed.
+    It has no arithmetic and is never normalized: callers build num and den
+    as Poly expressions over the denominator they choose.  Congruence
+    verdicts are invariant under scaling by units modulo ([p]_q)^k
+    (polynomials g with p not dividing g(1)), so canonical form is never
+    needed.
     """
 
     num: Poly
@@ -41,23 +43,6 @@ class QRational:
     def __post_init__(self) -> None:
         if self.den.is_zero():
             raise ValueError("QRational denominator must be nonzero")
-
-    def __add__(self, other: QRational) -> QRational:
-        if not isinstance(other, QRational):
-            return NotImplemented
-        return QRational(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
-
-    def __mul__(self, other: QRational | Poly | int) -> QRational:
-        if isinstance(other, QRational):
-            return QRational(self.num * other.num, self.den * other.den)
-        if isinstance(other, (Poly, int)):
-            return QRational(self.num * other, self.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -114,7 +99,8 @@ class CongruenceContext:
 
 def q_harmonic_sum(p: int, s: int) -> QRational:
     """The sum of 1/([i]_q)^s for i = 1..p-1, over the fixed common
-    denominator ([p-1]_q!)^s."""
+    denominator ([p-1]_q!)^s: the numerator is the sum of the cofactors
+    ([p-1]_q!)^s / ([i]_q)^s."""
     if s not in (1, 2):
         raise ValueError(f"harmonic power must be 1 or 2, got {s}")
     if p < 3 or not is_prime(p):
@@ -130,14 +116,14 @@ def q_harmonic_sum(p: int, s: int) -> QRational:
 
 def q_double_harmonic(p: int) -> QRational:
     """The sum of 1/([i]_q [j]_q) over 1 <= i < j <= p-1, over the fixed
-    common denominator ([p-1]_q!)^2."""
+    common denominator ([p-1]_q!)^2.
+
+    Built from the single sums as ((sum x_i)^2 - sum x_i^2) / 2 with
+    x_i = 1/[i]_q: both are over ([p-1]_q!)^2, and the halving is exact, so
+    the numerator is the sum of the products of cofactors over i < j.
+    """
     if p < 3 or not is_prime(p):
         raise ValueError(f"q_double_harmonic needs a prime p >= 3, got {p}")
-    f = q_factorial(p - 1)
-    cof = {i: f.exact_div(q_number(i)) for i in range(1, p)}
-    num = Poly()
-    suffix = Poly()
-    for i in reversed(range(1, p)):
-        num = num + cof[i] * suffix
-        suffix = suffix + cof[i]
-    return QRational(num, f * f)
+    h1 = q_harmonic_sum(p, 1)
+    h2 = q_harmonic_sum(p, 2)
+    return QRational((h1.num * h1.num - h2.num).exact_div(Poly((2,))), h2.den)

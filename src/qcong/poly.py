@@ -41,6 +41,14 @@ class Poly:
             raise ValueError(f"exponent must be nonnegative, got {exponent}")
         return cls([0] * exponent + [coefficient])
 
+    def shift(self, e: int) -> Poly:
+        """Return self * q**e, for e >= 0, without a multiplication."""
+        if e < 0:
+            raise ValueError(f"shift must be nonnegative, got {e}")
+        if not self.coeffs or e == 0:
+            return self
+        return Poly((0,) * e + self.coeffs)
+
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial; None for the zero polynomial."""

@@ -1,5 +1,5 @@
-"""q-analog constructions: q-integers, q-factorials, Gaussian binomial
-coefficients, and powers of the modulus [p]_q.
+"""q-analog constructions: q-integers, Gaussian binomial coefficients,
+and powers of the modulus [p]_q.
 
 All values are exact integer polynomials.  For prime p the q-integer
 [p]_q = 1 + q + ... + q^(p-1) is the p-th cyclotomic polynomial, which is
@@ -44,16 +44,6 @@ def q_number(n: int) -> Poly:
     if n < 0:
         raise ValueError(f"q_number needs n >= 0, got {n}")
     return Poly([1] * n)
-
-
-@lru_cache(maxsize=None)
-def q_factorial(n: int) -> Poly:
-    """The q-factorial [n]_q! = [n]_q [n-1]_q ... [1]_q; [0]_q! = 1."""
-    if n < 0:
-        raise ValueError(f"q_factorial needs n >= 0, got {n}")
-    if n == 0:
-        return Poly((1,))
-    return q_factorial(n - 1) * q_number(n)
 
 
 @lru_cache(maxsize=None)

@@ -132,9 +132,7 @@ def check_qchu(m: int, n: int, k: int) -> CheckResult:
     lhs = q_binomial(m + n, k)
     rhs = Poly()
     for j in range(max(0, k - n), min(m, k) + 1):
-        e = j * (n - k + j)
-        assert e >= 0
-        rhs = rhs + q_binomial(m, j) * q_binomial(n, k - j) * Poly.monomial(e)
+        rhs = rhs + (q_binomial(m, j) * q_binomial(n, k - j)).shift(j * (n - k + j))
     return _finish("qchu", {"m": m, "n": n, "k": k}, lhs - rhs, t0)
 
 
@@ -146,9 +144,10 @@ def check_expansion_identity(
         C_q(ap, bp) = sum over c_1+...+c_a = bp, 0 <= c_i <= p, of
             prod_i C_q(p, c_i) * q^(p*sum (i-1)c_i - sum_{i<j} c_i c_j).
 
-    The sum is evaluated exactly with shared suffixes, which leaves the
-    enumerated sum unchanged; the budget still caps the conceptual
-    (p+1)^a composition space.
+    The sum is evaluated exactly as Poly products, one part at a time, with
+    the compositions that share a prefix sum s collected into one
+    polynomial; this leaves the enumerated sum unchanged, and the budget
+    still caps the conceptual (p+1)^a composition space.
     """
     t0 = perf_counter()
     _require_prime(p, "expansion")
@@ -158,45 +157,17 @@ def check_expansion_identity(
             f"(p+1)^a = {(p + 1) ** a} exceeds the enumeration budget {budget}"
         )
     target = b * p
-    row = [q_binomial(p, c).coeffs for c in range(p + 1)]
-    memo: dict[tuple[int, int], list[int] | None] = {}
-
-    def suffix(i: int, s: int) -> list[int] | None:
-        # Sum over (c_i, ..., c_a) completing prefix sum s to the target,
-        # as a coefficient list; None when no completion exists.
-        if i == a + 1:
-            return [1] if s == target else None
-        key = (i, s)
-        if key in memo:
-            return memo[key]
-        base = p * (i - 1) - s
-        assert base >= 0
-        acc: list[int] | None = None
-        for c in range(p + 1):
-            ns = s + c
-            if ns > target or ns + (a - i) * p < target:
-                continue
-            child = suffix(i + 1, ns)
-            if child is None:
-                continue
-            e = c * base
-            rc = row[c]
-            need = e + len(rc) + len(child) - 1
-            if acc is None:
-                acc = [0] * need
-            elif len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            for off, coef in enumerate(rc):
-                if coef:
-                    lo = e + off
-                    hi = lo + len(child)
-                    seg = acc[lo:hi]
-                    acc[lo:hi] = [x + coef * y for x, y in zip(seg, child)]
-        memo[key] = acc
-        return acc
-
-    total = suffix(1, 0)
-    rhs = Poly(total or ())
+    # layer maps each feasible prefix sum s = c_1 + ... + c_i to the sum of
+    # the prefix products; c_(i+1) keeps the rest of the target reachable.
+    layer = {0: Poly((1,))}
+    for i in range(a):
+        nxt: dict[int, Poly] = {}
+        for s, f in layer.items():
+            for c in range(max(0, target - s - (a - 1 - i) * p), min(p, target - s) + 1):
+                term = (q_binomial(p, c) * f).shift(c * (p * i - s))
+                nxt[s + c] = nxt.get(s + c, Poly()) + term
+        layer = nxt
+    rhs = layer.get(target, Poly())
     lhs = q_binomial(a * p, b * p)
     return _finish("expansion", {"p": p, "a": a, "b": b}, lhs - rhs, t0)
 
@@ -213,7 +184,7 @@ def check_convolution_identity(p: int) -> CheckResult:
     _require_prime(p, "convolution")
     lhs = Poly()
     for d in range(1, p):
-        lhs = lhs + q_binomial(p, d) * q_binomial(p, p - d) * Poly.monomial(d * d)
+        lhs = lhs + (q_binomial(p, d) * q_binomial(p, p - d)).shift(d * d)
     rhs = q_binomial(2 * p, p) - _two_power(p)
     return _finish("convolution", {"p": p}, lhs - rhs, t0)
 
@@ -348,14 +319,15 @@ def check_power_reduction(p: int) -> CheckResult:
     central = q_binomial(2 * p, p)
     pn = q_number(p)
 
+    # both sums over the one denominator dh.den = h1.den^2
     h1 = q_harmonic_sum(p, 1)
     dh = q_double_harmonic(p)
-    one = QRational(Poly((1,)), Poly((1,)))
-    expr = (
-        one * Poly.monomial(p * (p - 1))
-        + QRational(h1.num * pn, h1.den) * Poly.monomial(p * (p - 2))
-        + QRational(dh.num * pn ** 2, dh.den) * Poly.monomial(p * (p - 3))
+    num = (
+        dh.den.shift(p * (p - 1))
+        + (h1.num * h1.den * pn).shift(p * (p - 2))
+        + (dh.num * pn ** 2).shift(p * (p - 3))
     ) * q_number(2).substitute_power(p)
+    expr = QRational(num, dh.den)
     ok1 = ctx.frac_congruent(expr, central)
     diff1 = Poly() if ok1 else ctx.reduce(expr.num - central * expr.den)
 

@@ -7,12 +7,15 @@ plain coefficient lists built with the Pascal-type recurrence
 
 so agreement with the package's construction (a product of
 (1 - q^m)/(1 - q^i) factors done by shifted subtractions and stride-i
-prefix sums) is a genuine cross-check rather than a tautology.
+prefix sums) is a genuine cross-check rather than a tautology.  The
+q-factorial oracle is the product of q-numbers, multiplied out the same way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from qcong.poly import Poly
 
 
 def list_add(a: list[int], b: list[int]) -> list[int]:
@@ -54,3 +57,11 @@ def qbinom_pascal(n: int, k: int) -> list[int]:
     if k < 0 or k > n:
         return []
     return list(qbinom_pascal_triangle(n)[(n, k)])
+
+
+def q_factorial(n: int) -> Poly:
+    """Oracle [n]_q! = [1]_q [2]_q ... [n]_q; [0]_q! = 1."""
+    out = [1]
+    for i in range(1, n + 1):
+        out = list_mul(out, [1] * i)
+    return Poly(out)

@@ -256,6 +256,17 @@ def test_reduce_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, low", [
+    ("--budget", "0", 1), ("--budget", "-3", 1), ("--a-max", "-1", 0),
+])
+def test_bounds_are_usage_errors_in_both_subcommands(capsys, flag, value, low):
+    for command in (["all", "--p-max", "5"], ["check", "--statements", "expansion"]):
+        assert main([*command, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"argument {flag}: must be >= {low}, got {value}" in captured.err
+
+
 def test_all_with_no_large_primes(capsys):
     code = main(["all", "--p-max", "4", "--a-max", "1", "--format", "json"])
     report = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import q_factorial
 from hypothesis import assume, given, strategies as hst
 
 from qcong.congruence import (
@@ -15,7 +16,7 @@ from qcong.congruence import (
     q_harmonic_sum,
 )
 from qcong.poly import Poly
-from qcong.qanalogs import NotPrimeError, modulus, q_binomial, q_factorial, q_number
+from qcong.qanalogs import NotPrimeError, modulus, q_binomial, q_number
 
 # Remainder of q_binomial(10, 5) modulo ([5]_q)^3, computed independently
 # (long division of both the Gaussian binomial and 1 + q^25 - 2(q^5-1)^2).
@@ -170,21 +171,6 @@ def test_qrational_rejects_zero_denominator():
         QRational(Poly([1]), Poly())
 
 
-def test_qrational_arithmetic_is_formal_cross_multiplication():
-    half = QRational(Poly([1]), Poly([1, 1]))          # 1/(1+q)
-    rest = QRational(Poly([0, 1]), Poly([1, 1]))       # q/(1+q)
-    total = half + rest
-    # no normalization: the denominator is the literal product
-    assert total.den == Poly([1, 1]) * Poly([1, 1])
-    assert total.num == Poly([1, 1]) * Poly([1, 1])
-    prod = half * rest
-    assert prod.num == Poly([0, 1])
-    assert prod.den == Poly([1, 2, 1])
-    scaled = half * Poly([3])
-    assert scaled.num == Poly([3]) and scaled.den == Poly([1, 1])
-    assert (2 * half).num == Poly([2])
-
-
 def test_harmonic_sum_p3_as_fraction():
     h = q_harmonic_sum(3, 1)
     assert h.den == q_number(1) * q_number(2)
@@ -225,15 +211,21 @@ def test_double_harmonic_p5_congruence():
     assert ctx.frac_congruent(dh, 2 * Poly([-1, 1]) ** 2)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_double_harmonic_vs_square_identity(p):
-    # 2 * sum_{i<j} x_i x_j == (sum x_i)^2 - sum x_i^2, as exact fractions
+    # q_double_harmonic is built as ((sum x_i)^2 - sum x_i^2)/2 over the square
+    # of H1's denominator; check it against sympy's exact sum over i < j.
+    sympy = pytest.importorskip("sympy")
+    field, q = sympy.field("q", sympy.QQ)
+
+    def frac(poly):
+        return sum((c * q**e for e, c in enumerate(poly.coeffs)), field.zero)
+
+    x = [1 / sum(q**e for e in range(i)) for i in range(1, p)]
+    exact = sum((x[i] * x[j] for j in range(len(x)) for i in range(j)), field.zero)
     dh = q_double_harmonic(p)
-    h1 = q_harmonic_sum(p, 1)
-    h2 = q_harmonic_sum(p, 2)
-    rhs = h1 * h1 + QRational(-h2.num, h2.den)
-    lhs = QRational(2 * dh.num, dh.den)
-    assert lhs.num * rhs.den == rhs.num * lhs.den
+    assert frac(dh.num) == exact * frac(dh.den)
+    assert dh.den == q_harmonic_sum(p, 1).den ** 2
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -67,6 +67,20 @@ def test_monomial_rejects_negative_exponent():
         Poly.monomial(-1)
 
 
+def test_shift_zero_and_identity():
+    assert Poly().shift(5) == Poly()
+    p = Poly([3, 0, -2])
+    assert p.shift(0) == p
+    assert p.shift(2) == Poly([0, 0, 3, 0, -2])
+    with pytest.raises(ValueError):
+        p.shift(-1)
+
+
+@given(polys, hst.integers(0, 60))
+def test_shift_matches_monomial_product(p, e):
+    assert p.shift(e) == p * Poly.monomial(e)
+
+
 def test_divrem_monic_exact_factor():
     quot, rem = Poly([-1, 0, 1]).divrem_monic(Poly([-1, 1]))
     assert quot == Poly([1, 1])

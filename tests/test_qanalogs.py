@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import qbinom_pascal, qbinom_pascal_triangle
+from conftest import q_factorial, qbinom_pascal, qbinom_pascal_triangle
 from hypothesis import given, strategies as hst
 
 from qcong import qanalogs
@@ -16,7 +16,6 @@ from qcong.qanalogs import (
     is_prime,
     modulus,
     q_binomial,
-    q_factorial,
     q_number,
 )
 
@@ -27,13 +26,6 @@ def test_q_number_values():
     assert q_number(0).is_zero()
     with pytest.raises(ValueError):
         q_number(-1)
-
-
-def test_q_factorial_values():
-    assert q_factorial(0) == Poly([1])
-    assert q_factorial(3) == Poly([1, 2, 2, 1])
-    assert q_factorial(5).eval_at_one() == 120
-    assert q_factorial(6).degree == 15
 
 
 def test_q_binomial_base_cases():
