@@ -9,7 +9,6 @@ the q-analog of Ljunggren's congruence modulo ([p]_q)^3.
 from .congruence import (
     CongruenceContext,
     DenominatorNotUnitError,
-    QRational,
     q_double_harmonic,
     q_harmonic_sum,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "NotDivisibleError",
     "NotPrimeError",
     "Poly",
-    "QRational",
     "STATEMENT_IDS",
     "binom",
     "check_clark",

@@ -47,7 +47,11 @@ class RunConfig:
 
 @dataclass
 class ResultRecord:
-    """One executed check, in report form."""
+    """One executed check, in report form.
+
+    ``expected_failure`` marks a failing negative control, and only in a run
+    with --negative-controls; anywhere else a failure is a failure.
+    """
 
     statement: str
     params: dict[str, int]
@@ -69,41 +73,14 @@ class Report:
     errored: list[dict]
     summary: dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "created": self.created,
-            "config": self.config,
-            "results": [asdict(r) for r in self.results],
-            "skipped": self.skipped,
-            "errored": self.errored,
-            "summary": self.summary,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Report:
-        return cls(
-            version=data["version"],
-            created=data["created"],
-            config=data["config"],
-            results=[ResultRecord(**r) for r in data["results"]],
-            skipped=data["skipped"],
-            errored=data["errored"],
-            summary=data["summary"],
-        )
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> Report:
-        return cls.from_dict(json.loads(text))
+        return json.dumps(asdict(self), indent=2)
 
     def render_text(self) -> str:
         lines = [f"q-congruence check report (created {self.created})"]
         for r in self.results:
             verdict = "PASS" if r.passed else "FAIL"
-            tag = "  [expected failure]" if r.expected_failure and not r.passed else ""
+            tag = "  [expected failure]" if r.expected_failure else ""
             detail = ""
             if r.witness_truncated is not None:
                 w = r.witness_truncated
@@ -198,7 +175,9 @@ def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> ResultRecord:
     settings = {"k": cfg.k_override, "budget": cfg.budget}
     kw = {name: settings[name] for name in entry.settings if settings[name] is not None}
     res = entry.run(**params, **kw)
-    expected = params.get("p") in entry.control_primes and not res.passed
+    expected = (
+        cfg.negative_controls and params.get("p") in entry.control_primes and not res.passed
+    )
     return ResultRecord(
         statement=res.statement_id,
         params=res.params,
@@ -240,14 +219,10 @@ def run_checks(cfg: RunConfig) -> Report:
     skipped.sort(key=lambda s: sort_key(s["statement"], s["params"]))
     errored.sort(key=lambda e: sort_key(e["statement"], e["params"]))
 
-    expected = sum(
-        1 for r in results if not r.passed and r.expected_failure and cfg.negative_controls
-    )
-    failed = sum(1 for r in results if not r.passed) - expected
     summary = {
         "passed": sum(1 for r in results if r.passed),
-        "failed": failed,
-        "expected_failures": sum(1 for r in results if not r.passed and r.expected_failure),
+        "failed": sum(1 for r in results if not r.passed and not r.expected_failure),
+        "expected_failures": sum(1 for r in results if r.expected_failure),
         "skipped": len(skipped),
         "errored": len(errored),
     }

@@ -9,6 +9,11 @@ Z_(p)[q].  That holds exactly when D(1) is not divisible by p: (1 - zeta_p)
 is the only prime above p in Z[zeta_p], with residue field F_p via q -> 1.
 Coprimality with [p]_q over Q is not enough: 12 at p = 3, or 5 and q + 4 at
 p = 5, are coprime to [p]_q yet not units.
+
+A fraction is a plain (N, D) pair, and any representatives modulo M serve:
+M(1) = p^k, so reducing D leaves D(1) mod p, and hence the unit test, as it
+was.  The q-harmonic sums are built that way, as pairs reduced modulo the
+caller's M, never over the full ([p-1]_q!)^s.
 """
 
 from __future__ import annotations
@@ -17,32 +22,12 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .poly import Poly
-from .qanalogs import is_prime, modulus, q_number
+from .qanalogs import InternalNonDivisibleError, modulus, q_number
 
 
 class DenominatorNotUnitError(ValueError):
     """The denominator D of a fractional congruence is not a unit modulo
     ([p]_q)^k in Z_(p)[q], i.e. p divides D(1)."""
-
-
-@dataclass(frozen=True)
-class QRational:
-    """A formal quotient num/den of two integer polynomials, as taken by
-    CongruenceContext.frac_congruent.
-
-    It has no arithmetic and is never normalized: callers build num and den
-    as Poly expressions over the denominator they choose.  Congruence
-    verdicts are invariant under scaling by units modulo ([p]_q)^k
-    (polynomials g with p not dividing g(1)), so canonical form is never
-    needed.
-    """
-
-    num: Poly
-    den: Poly
-
-    def __post_init__(self) -> None:
-        if self.den.is_zero():
-            raise ValueError("QRational denominator must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -81,49 +66,55 @@ class CongruenceContext:
         """True iff ([p]_q)^k divides a - b in Z[q]."""
         return self.reduce(a - b).is_zero()
 
-    def frac_congruent(self, f: QRational, r: Poly) -> bool:
-        """True iff f.num = r * f.den modulo ([p]_q)^k.
+    def frac_congruent(self, num: Poly, den: Poly, r: Poly) -> bool:
+        """True iff num = r * den modulo ([p]_q)^k, i.e. num/den = r.
 
-        Raises DenominatorNotUnitError when p divides f.den(1): then f.den
-        is not a unit modulo ([p]_q)^k in Z_(p)[q], and the fractional
-        congruence would be meaningless.
+        num and den may be any representatives modulo ([p]_q)^k, reduced or
+        not: the verdict depends only on their classes.  Raises
+        DenominatorNotUnitError when p divides den(1) (a zero den included):
+        then den is not a unit modulo ([p]_q)^k in Z_(p)[q], and the
+        fractional congruence would be meaningless.
         """
-        at_one = f.den.eval_at_one()
+        at_one = den.eval_at_one()
         if at_one % self.p == 0:
             raise DenominatorNotUnitError(
                 f"denominator is not a unit modulo [{self.p}]_q: "
                 f"its value {at_one} at q = 1 is divisible by {self.p}"
             )
-        return self.congruent(f.num, r * f.den)
+        return self.congruent(num, r * den)
 
 
-def q_harmonic_sum(p: int, s: int) -> QRational:
-    """The sum of 1/([i]_q)^s for i = 1..p-1, over the fixed common
-    denominator ([p-1]_q!)^s: the numerator is the sum of the cofactors
-    ([p-1]_q!)^s / ([i]_q)^s."""
+def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
+    """The sum of 1/([i]_q)^s for i = 1..p-1 as a pair (num, den), both
+    reduced modulo ctx's ([p]_q)^k.
+
+    den is ([p-1]_q!)^s and num the sum of the cofactors ([p-1]_q!)^s /
+    ([i]_q)^s, each known only modulo ([p]_q)^k; reduce is canonical, so the
+    pair is exactly the reduction of the full-size one.
+    """
     if s not in (1, 2):
         raise ValueError(f"harmonic power must be 1 or 2, got {s}")
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"q_harmonic_sum needs a prime p >= 3, got {p}")
-    num = Poly()
-    den = Poly((1,))
-    for i in range(1, p):
+    if ctx.p < 3:
+        raise ValueError(f"q_harmonic_sum needs a prime p >= 3, got {ctx.p}")
+    num, den = Poly(), Poly((1,))
+    for i in range(1, ctx.p):
         t = q_number(i) ** s
-        num = num * t + den
-        den = den * t
-    return QRational(num, den)
+        num, den = ctx.reduce(num * t + den), ctx.reduce(den * t)
+    return num, den
 
 
-def q_double_harmonic(p: int) -> QRational:
-    """The sum of 1/([i]_q [j]_q) over 1 <= i < j <= p-1, over the fixed
-    common denominator ([p-1]_q!)^2.
+def q_double_harmonic(ctx: CongruenceContext) -> tuple[Poly, Poly]:
+    """The sum of 1/([i]_q [j]_q) over 1 <= i < j <= p-1 as a pair
+    (num, den), both reduced modulo ctx's ([p]_q)^k; den is that of the
+    single sum with s = 2, a representative of ([p-1]_q!)^2.
 
     Built from the single sums as ((sum x_i)^2 - sum x_i^2) / 2 with
-    x_i = 1/[i]_q: both are over ([p-1]_q!)^2, and the halving is exact, so
-    the numerator is the sum of the products of cofactors over i < j.
+    x_i = 1/[i]_q.  Before reduction the halving is exact; reduce is
+    Z-linear, so it stays exact coefficient-wise after it.
     """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"q_double_harmonic needs a prime p >= 3, got {p}")
-    h1 = q_harmonic_sum(p, 1)
-    h2 = q_harmonic_sum(p, 2)
-    return QRational((h1.num * h1.num - h2.num).exact_div(Poly((2,))), h2.den)
+    num1, _ = q_harmonic_sum(ctx, 1)
+    num2, den2 = q_harmonic_sum(ctx, 2)
+    twice = ctx.reduce(num1 * num1 - num2)
+    if any(c % 2 for c in twice.coeffs):
+        raise InternalNonDivisibleError(f"q_double_harmonic at p={ctx.p}: odd coefficient")
+    return Poly(c // 2 for c in twice.coeffs), den2

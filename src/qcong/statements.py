@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Literal
 
-from .congruence import CongruenceContext, QRational, q_double_harmonic, q_harmonic_sum
+from .congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from .poly import Poly
 from .qanalogs import is_prime, q_binomial, q_number
 
@@ -261,24 +261,24 @@ def check_shipan(p: int) -> CheckResult:
     _require_prime(p, "shipan", minimum=5)
     qm1 = Poly((-1, 1))
     ctx2 = CongruenceContext(p, 2)
-    h1 = q_harmonic_sum(p, 1)
+    num1, den1 = q_harmonic_sum(ctx2, 1)
     rhs1 = (
         -_exact_scalar(p - 1, 2) * qm1
         + _exact_scalar(p * p - 1, 24) * qm1 ** 2 * q_number(p)
     )
-    ok1 = ctx2.frac_congruent(h1, rhs1)
+    ok1 = ctx2.frac_congruent(num1, den1, rhs1)
 
     ctx1 = CongruenceContext(p, 1)
-    h2 = q_harmonic_sum(p, 2)
+    num2, den2 = q_harmonic_sum(ctx1, 2)
     rhs2 = -_exact_scalar((p - 1) * (p - 5), 12) * qm1 ** 2
-    ok2 = ctx1.frac_congruent(h2, rhs2)
+    ok2 = ctx1.frac_congruent(num2, den2, rhs2)
 
     if ok1 and ok2:
         witness = Poly()
     elif not ok1:
-        witness = ctx2.reduce(h1.num - rhs1 * h1.den)
+        witness = ctx2.reduce(num1 - rhs1 * den1)
     else:
-        witness = ctx1.reduce(h2.num - rhs2 * h2.den)
+        witness = ctx1.reduce(num2 - rhs2 * den2)
     return _finish(
         "shipan",
         {"p": p, "harmonic1_ok": int(ok1), "harmonic2_ok": int(ok2)},
@@ -295,12 +295,12 @@ def check_double_harmonic(p: int) -> CheckResult:
     t0 = perf_counter()
     _require_prime(p, "double_harmonic", minimum=5)
     ctx = CongruenceContext(p, 1)
-    dh = q_double_harmonic(p)
+    num, den = q_double_harmonic(ctx)
     rhs = _exact_scalar((p - 1) * (p - 2), 6) * Poly((-1, 1)) ** 2
-    if ctx.frac_congruent(dh, rhs):
+    if ctx.frac_congruent(num, den, rhs):
         diff = Poly()
     else:
-        diff = ctx.reduce(dh.num - rhs * dh.den)
+        diff = ctx.reduce(num - rhs * den)
     return _finish("double_harmonic", {"p": p}, diff, t0)
 
 
@@ -319,17 +319,16 @@ def check_power_reduction(p: int) -> CheckResult:
     central = q_binomial(2 * p, p)
     pn = q_number(p)
 
-    # both sums over the one denominator dh.den = h1.den^2
-    h1 = q_harmonic_sum(p, 1)
-    dh = q_double_harmonic(p)
+    # both sums over the one denominator dh_den, as dh_den = h1_den^2 modulo M
+    h1_num, h1_den = q_harmonic_sum(ctx, 1)
+    dh_num, dh_den = q_double_harmonic(ctx)
     num = (
-        dh.den.shift(p * (p - 1))
-        + (h1.num * h1.den * pn).shift(p * (p - 2))
-        + (dh.num * pn ** 2).shift(p * (p - 3))
+        dh_den.shift(p * (p - 1))
+        + (h1_num * h1_den * pn).shift(p * (p - 2))
+        + (dh_num * pn ** 2).shift(p * (p - 3))
     ) * q_number(2).substitute_power(p)
-    expr = QRational(num, dh.den)
-    ok1 = ctx.frac_congruent(expr, central)
-    diff1 = Poly() if ok1 else ctx.reduce(expr.num - central * expr.den)
+    ok1 = ctx.frac_congruent(num, dh_den, central)
+    diff1 = Poly() if ok1 else ctx.reduce(num - central * dh_den)
 
     qp1 = _qp_minus_one(p)
     rhs2 = 2 + p * qp1 + _exact_scalar((p - 1) * (5 * p - 1), 12) * qp1 ** 2

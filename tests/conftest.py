@@ -9,11 +9,18 @@ so agreement with the package's construction (a product of
 (1 - q^m)/(1 - q^i) factors done by shifted subtractions and stride-i
 prefix sums) is a genuine cross-check rather than a tautology.  The
 q-factorial oracle is the product of q-numbers, multiplied out the same way.
+
+The q-harmonic oracles are the full-size sums over ([p-1]_q!)^s, from the
+definition: each numerator sums the cofactors [p-1]_q! / [i]_q (squared,
+or multiplied in pairs i < j) as coefficient lists.  The package keeps the
+sums reduced modulo ([p]_q)^k and builds the double sum from the single
+ones, so neither shortcut is shared with the oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from qcong.poly import Poly
 
@@ -59,9 +66,41 @@ def qbinom_pascal(n: int, k: int) -> list[int]:
     return list(qbinom_pascal_triangle(n)[(n, k)])
 
 
+def q_product(indices: Iterable[int], s: int = 1) -> list[int]:
+    """Oracle product of ([i]_q)^s over the indices, as a coefficient list."""
+    out = [1]
+    for i in indices:
+        for _ in range(s):
+            out = list_mul(out, [1] * i)
+    return out
+
+
 def q_factorial(n: int) -> Poly:
     """Oracle [n]_q! = [1]_q [2]_q ... [n]_q; [0]_q! = 1."""
-    out = [1]
-    for i in range(1, n + 1):
-        out = list_mul(out, [1] * i)
-    return Poly(out)
+    return Poly(q_product(range(1, n + 1)))
+
+
+def _cofactors(p: int) -> list[list[int]]:
+    """[p-1]_q! / [i]_q for i = 1..p-1, each multiplied out directly."""
+    return [q_product(j for j in range(1, p) if j != i) for i in range(1, p)]
+
+
+@lru_cache(maxsize=None)
+def q_harmonic_full(p: int, s: int) -> tuple[Poly, Poly]:
+    """Oracle sum of 1/([i]_q)^s, i = 1..p-1, as (num, den) over ([p-1]_q!)^s."""
+    num: list[int] = []
+    for c in _cofactors(p):
+        num = list_add(num, list_mul(c, c) if s == 2 else c)
+    return Poly(num), Poly(q_product(range(1, p), s))
+
+
+@lru_cache(maxsize=None)
+def q_double_harmonic_full(p: int) -> tuple[Poly, Poly]:
+    """Oracle sum of 1/([i]_q [j]_q), 1 <= i < j <= p-1, as (num, den) over
+    ([p-1]_q!)^2."""
+    cof = _cofactors(p)
+    num: list[int] = []
+    for j in range(len(cof)):
+        for i in range(j):
+            num = list_add(num, list_mul(cof[i], cof[j]))
+    return Poly(num), Poly(q_product(range(1, p), 2))

@@ -1,0 +1,33 @@
+"""The benchmark's traced mode must still find what it wraps.
+
+perfbench/child.py wraps program functions by name (Poly.exact_div,
+poly.gcd_primitive, CongruenceContext.frac_congruent, q_harmonic_sum,
+q_double_harmonic, ...).  Renaming or deleting one of them crashes a traced
+benchmark run, which no other test here would notice.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+INSTALL = """
+import sys
+sys.path[:0] = ['perfbench', 'src']
+import child, spans
+tracer = spans.Tracer()
+child.install(tracer)
+assert child.statements.check_power_reduction(5).passed
+assert {'congruence.harmonic', 'congruence.frac_congruent'} <= set(tracer.totals())
+"""
+
+
+def test_benchmark_tracer_installs_on_the_program():
+    proc = subprocess.run(
+        [sys.executable, "-c", INSTALL], cwd=ROOT, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,11 +8,12 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from qcong.cli import Report, RunConfig, _parse_p_values, main, run_checks
+from qcong.cli import RunConfig, _parse_p_values, main, run_checks
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial
 
@@ -54,8 +55,18 @@ def test_classical_p3_fails_without_flag(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     failing = [r for r in report["results"] if not r["passed"]]
-    assert failing and all(r["expected_failure"] for r in failing)
-    assert report["summary"]["failed"] > 0
+    assert failing and not any(r["expected_failure"] for r in failing)
+    assert report["summary"]["failed"] == len(failing)
+    assert report["summary"]["expected_failures"] == 0
+
+
+def test_classical_p3_counts_each_failure_once_without_flag(capsys):
+    code = main(["check", "--statements", "classical", "--p", "3", "--a-max", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[expected failure]" not in out
+    assert out.count("FAIL  classical") == 3
+    assert "summary: 0 passed, 3 failed, 0 expected failures" in out
 
 
 def test_classical_p3_tolerated_with_flag(capsys):
@@ -158,7 +169,7 @@ def test_report_json_round_trip():
         negative_controls=True,
     )
     report = run_checks(cfg)
-    assert Report.from_json(report.to_json()) == report
+    assert json.loads(report.to_json()) == asdict(report)
 
 
 def test_results_are_sorted_deterministically():

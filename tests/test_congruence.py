@@ -5,16 +5,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import q_factorial
+from conftest import q_double_harmonic_full, q_factorial, q_harmonic_full
 from hypothesis import assume, given, strategies as hst
 
+from qcong import congruence
 from qcong.congruence import (
     CongruenceContext,
     DenominatorNotUnitError,
-    QRational,
     q_double_harmonic,
     q_harmonic_sum,
 )
+from qcong.qanalogs import InternalNonDivisibleError
 from qcong.poly import Poly
 from qcong.qanalogs import NotPrimeError, modulus, q_binomial, q_number
 
@@ -125,28 +126,27 @@ def test_congruence_respects_ring_operations(a, c, t, u):
 def test_frac_congruent_trivial():
     ctx = CongruenceContext(5, 2)
     one = Poly([1])
-    assert ctx.frac_congruent(QRational(one, one), one)
+    assert ctx.frac_congruent(one, one, one)
 
 
 def test_frac_congruent_exact_quotient():
     for p, k in ((3, 1), (5, 2), (7, 3)):
         ctx = CongruenceContext(p, k)
-        f = QRational(Poly([1, 2, 1]), Poly([1, 1]))
-        assert ctx.frac_congruent(f, Poly([1, 1]))
+        assert ctx.frac_congruent(Poly([1, 2, 1]), Poly([1, 1]), Poly([1, 1]))
 
 
 def test_frac_congruent_rejects_non_unit_denominator():
     ctx = CongruenceContext(5, 2)
     with pytest.raises(DenominatorNotUnitError):
-        ctx.frac_congruent(QRational(Poly([1]), q_number(5)), Poly([1]))
+        ctx.frac_congruent(Poly([1]), q_number(5), Poly([1]))
     with pytest.raises(DenominatorNotUnitError):
-        ctx.frac_congruent(QRational(Poly([1]), q_number(5) * Poly([3, 1])), Poly([1]))
+        ctx.frac_congruent(Poly([1]), q_number(5) * Poly([3, 1]), Poly([1]))
     # Coprime to [p]_q over Q, yet p divides D(1): not units in Z_(p)[q].
     cases = [(5, Poly([5])), (5, Poly([4, 1])), (3, Poly([12]))]
     cases += [(p, Poly([-1, 1])) for p in (3, 5, 7)]
     for p, den in cases:
         with pytest.raises(DenominatorNotUnitError):
-            CongruenceContext(p, 2).frac_congruent(QRational(Poly([1]), den), Poly([1]))
+            CongruenceContext(p, 2).frac_congruent(Poly([1]), den, Poly([1]))
 
 
 @given(
@@ -161,60 +161,62 @@ def test_frac_congruent_scale_invariance(num, den, r, g):
     assume(den_p.eval_at_one() % 5 != 0)
     assume(g_p.eval_at_one() % 5 != 0)
     r_p = Poly(r)
-    plain = ctx.frac_congruent(QRational(Poly(num), den_p), r_p)
-    scaled = ctx.frac_congruent(QRational(Poly(num) * g_p, den_p * g_p), r_p)
+    plain = ctx.frac_congruent(Poly(num), den_p, r_p)
+    scaled = ctx.frac_congruent(Poly(num) * g_p, den_p * g_p, r_p)
     assert plain == scaled
 
 
-def test_qrational_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        QRational(Poly([1]), Poly())
+def test_frac_congruent_rejects_zero_denominator():
+    with pytest.raises(DenominatorNotUnitError):
+        CongruenceContext(5, 2).frac_congruent(Poly([1]), Poly(), Poly([1]))
 
 
 def test_harmonic_sum_p3_as_fraction():
-    h = q_harmonic_sum(3, 1)
-    assert h.den == q_number(1) * q_number(2)
+    # k(p-1) = 4 exceeds every degree involved, so reduce is the identity
+    num, den = q_harmonic_sum(CongruenceContext(3, 2), 1)
+    assert den == q_number(1) * q_number(2)
     # num/den == (2+q)/(1+q), checked by cross-multiplication
-    assert h.num * Poly([1, 1]) == Poly([2, 1]) * h.den
+    assert num * Poly([1, 1]) == Poly([2, 1]) * den
 
 
 def test_harmonic_sum_validation():
     with pytest.raises(ValueError):
-        q_harmonic_sum(5, 3)
+        q_harmonic_sum(CongruenceContext(5, 1), 3)
     with pytest.raises(ValueError):
-        q_harmonic_sum(4, 1)
+        q_harmonic_sum(CongruenceContext(2, 1), 1)
     with pytest.raises(ValueError):
-        q_harmonic_sum(2, 1)
+        q_double_harmonic(CongruenceContext(2, 1))
+    with pytest.raises(ValueError):  # NotPrimeError: no context exists at p = 4
+        CongruenceContext(4, 1)
 
 
 def test_harmonic_sum_p5_congruences():
     # sum 1/[i] = -2(q-1) + (q-1)^2 [5]_q  mod [5]^2
     ctx2 = CongruenceContext(5, 2)
-    h1 = q_harmonic_sum(5, 1)
     rhs = -2 * Poly([-1, 1]) + Poly([-1, 1]) ** 2 * q_number(5)
-    assert ctx2.frac_congruent(h1, rhs)
+    assert ctx2.frac_congruent(*q_harmonic_sum(ctx2, 1), rhs)
     # sum 1/[i]^2 = 0  mod [5]  (the scalar (p-1)(p-5)/12 vanishes at p=5)
     ctx1 = CongruenceContext(5, 1)
-    h2 = q_harmonic_sum(5, 2)
-    assert ctx1.frac_congruent(h2, Poly())
+    assert ctx1.frac_congruent(*q_harmonic_sum(ctx1, 2), Poly())
 
 
 def test_double_harmonic_p3_as_fraction():
-    dh = q_double_harmonic(3)
+    num, den = q_double_harmonic(CongruenceContext(3, 2))
     # single term 1/([1][2]) == 1/(1+q)
-    assert dh.num * Poly([1, 1]) == dh.den
+    assert num * Poly([1, 1]) == den
 
 
 def test_double_harmonic_p5_congruence():
     ctx = CongruenceContext(5, 1)
-    dh = q_double_harmonic(5)
-    assert ctx.frac_congruent(dh, 2 * Poly([-1, 1]) ** 2)
+    assert ctx.frac_congruent(*q_double_harmonic(ctx), 2 * Poly([-1, 1]) ** 2)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_double_harmonic_vs_square_identity(p):
     # q_double_harmonic is built as ((sum x_i)^2 - sum x_i^2)/2 over the square
     # of H1's denominator; check it against sympy's exact sum over i < j.
+    # With k = p - 1, k(p-1) exceeds deg ([p-1]_q!)^2 = (p-1)(p-2), so reduce
+    # is the identity and the sums are the full-size ones.
     sympy = pytest.importorskip("sympy")
     field, q = sympy.field("q", sympy.QQ)
 
@@ -223,22 +225,71 @@ def test_double_harmonic_vs_square_identity(p):
 
     x = [1 / sum(q**e for e in range(i)) for i in range(1, p)]
     exact = sum((x[i] * x[j] for j in range(len(x)) for i in range(j)), field.zero)
-    dh = q_double_harmonic(p)
-    assert frac(dh.num) == exact * frac(dh.den)
-    assert dh.den == q_harmonic_sum(p, 1).den ** 2
+    ctx = CongruenceContext(p, p - 1)
+    num, den = q_double_harmonic(ctx)
+    assert frac(num) == exact * frac(den)
+    assert den == q_harmonic_sum(ctx, 1)[1] ** 2
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_harmonic_denominators_are_units(p):
-    ctx = CongruenceContext(p, 1)
-    for s in (1, 2):
-        den = q_factorial(p - 1) ** s
-        assert q_harmonic_sum(p, s).den == den
-        assert ctx.frac_congruent(QRational(den, den), Poly([1]))
+    for k in (1, 2, 3):
+        ctx = CongruenceContext(p, k)
+        for s in (1, 2):
+            den = q_harmonic_sum(ctx, s)[1]
+            assert ctx.congruent(den, q_factorial(p - 1) ** s)
+            assert ctx.frac_congruent(den, den, Poly([1]))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_harmonic_sum_specializes_to_harmonic_numbers(p):
-    h = q_harmonic_sum(p, 1)
+    # M(1) = p^k, so at q = 1 the reduced pair still gives H_(p-1) modulo p^k
     expected = sum(Fraction(1, i) for i in range(1, p))
-    assert Fraction(h.num.eval_at_one(), h.den.eval_at_one()) == expected
+    for k in (1, 2, 3, 4):
+        num, den = q_harmonic_sum(CongruenceContext(p, k), 1)
+        gap = num.eval_at_one() * expected.denominator - expected.numerator * den.eval_at_one()
+        assert gap % p**k == 0
+
+
+HARMONIC_GRID = [(p, k) for p in (3, 5, 7, 11, 13) for k in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("p,k", HARMONIC_GRID)
+def test_reduced_harmonic_sums_match_full_oracle(p, k):
+    ctx = CongruenceContext(p, k)
+    for s in (1, 2):
+        num, den = q_harmonic_full(p, s)
+        assert q_harmonic_sum(ctx, s) == (ctx.reduce(num), ctx.reduce(den))
+    num, den = q_double_harmonic_full(p)
+    assert q_double_harmonic(ctx) == (ctx.reduce(num), ctx.reduce(den))
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p, k in HARMONIC_GRID if p >= 5 and k <= 3])
+def test_reduced_harmonic_residues_match_full_oracle_on_failure(p, k):
+    # The Shi-Pan right sides plus 1 fail, and the witness reduce(num - r*den)
+    # from the reduced sums is the oracle's, residue for residue.
+    ctx = CongruenceContext(p, k)
+    qm1 = Poly([-1, 1])
+    cases = [
+        (q_harmonic_sum(ctx, 1), q_harmonic_full(p, 1),
+         -(p - 1) // 2 * qm1 + (p * p - 1) // 24 * qm1 ** 2 * q_number(p)),
+        (q_harmonic_sum(ctx, 2), q_harmonic_full(p, 2),
+         -((p - 1) * (p - 5) // 12) * qm1 ** 2),
+        (q_double_harmonic(ctx), q_double_harmonic_full(p),
+         (p - 1) * (p - 2) // 6 * qm1 ** 2),
+    ]
+    for (num, den), (full_num, full_den), rhs in cases:
+        r = rhs + 1
+        residue = ctx.reduce(num - r * den)
+        assert not residue.is_zero()
+        assert not ctx.frac_congruent(num, den, r)
+        assert residue == ctx.reduce(full_num - r * full_den)
+
+
+def test_double_harmonic_guards_its_halving(monkeypatch):
+    # sums whose h1^2 - h2 has an odd coefficient cannot be halved exactly
+    monkeypatch.setattr(
+        congruence, "q_harmonic_sum", lambda ctx, s: (Poly([1, 1]), Poly([1]))
+    )
+    with pytest.raises(InternalNonDivisibleError):
+        q_double_harmonic(CongruenceContext(5, 2))
