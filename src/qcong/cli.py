@@ -12,8 +12,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from time import perf_counter
 from typing import Callable, Iterator
 
 from . import statements as st
@@ -171,20 +173,23 @@ def _grid(
 
 
 def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> ResultRecord:
+    """Run one instance, timing only the check, and record it under its table key."""
     entry = st.STATEMENTS[stmt]
     settings = {"k": cfg.k_override, "budget": cfg.budget}
     kw = {name: settings[name] for name in entry.settings if settings[name] is not None}
+    t0 = perf_counter()
     res = entry.run(**params, **kw)
+    elapsed_ms = (perf_counter() - t0) * 1000.0
     expected = (
         cfg.negative_controls and params.get("p") in entry.control_primes and not res.passed
     )
     return ResultRecord(
-        statement=res.statement_id,
+        statement=stmt,
         params=res.params,
         passed=res.passed,
         expected_failure=expected,
         witness_truncated=_truncate_witness(res.witness),
-        elapsed_ms=res.elapsed_ms,
+        elapsed_ms=elapsed_ms,
     )
 
 
@@ -237,15 +242,21 @@ def run_checks(cfg: RunConfig) -> Report:
     )
 
 
-def _emit(report: Report, cfg: RunConfig) -> int:
-    # the file first, so that it is written even if stdout's reader hangs up
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    if cfg.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text())
+def _run(cfg: RunConfig) -> int:
+    """Run the checks and print the report, and write it to --out, which is
+    opened first so that an unwritable path fails before any check runs."""
+    try:
+        out = open(cfg.output_path, "w", encoding="utf-8") if cfg.output_path else nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write --out {cfg.output_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    with out:
+        report = run_checks(cfg)
+        # the file first, so that it is written even if stdout's reader hangs up
+        if cfg.output_path:
+            out.write(report.to_json() + "\n")
+    print(report.to_json() if cfg.format == "json" else report.render_text())
     return 0 if report.summary["failed"] == 0 and report.summary["errored"] == 0 else 1
 
 
@@ -279,7 +290,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         format=args.format,
         negative_controls=args.negative_controls,
     )
-    return _emit(run_checks(cfg), cfg)
+    return _run(cfg)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -310,7 +321,7 @@ def cmd_all(args: argparse.Namespace) -> int:
         negative_controls=args.negative_controls,
         explicit_p=False,
     )
-    return _emit(run_checks(cfg), cfg)
+    return _run(cfg)
 
 
 def _at_least(low: int) -> Callable[[str], int]:

@@ -1,8 +1,8 @@
 """One verifiable check per congruence or identity in the statement catalog.
 
-Every check returns a structured result carrying the parameters, the
-verdict, and (on failure) the reduced difference as a witness, so a
-driver can report exactly what broke.  Statements quantified over primes
+Every check returns its parameters and the reduced difference that should
+be zero, so a driver can report exactly what broke; timing and naming an
+instance are the driver's business.  Statements quantified over primes
 p >= 5 reject smaller primes with PrecondViolationError instead of
 reporting a failure; "does not apply" and "is false" are kept distinct.
 The one exception is check_classical, which accepts p = 3 so the known
@@ -12,7 +12,7 @@ failure of the mod-p^3 congruence there can serve as a negative control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
+from math import comb
 from typing import Callable, Literal
 
 from .congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
@@ -31,42 +31,32 @@ class BudgetExceededError(RuntimeError):
 class CheckResult:
     """Outcome of one verified statement instance.
 
-    ``witness`` is the reduced difference that should have been zero; it is
-    None exactly when the check passed.
+    ``residue`` is the reduced difference that should be zero; the check
+    passed exactly when it is.  ``witness`` is the residue of a failed
+    check and None for a passed one.
     """
 
-    statement_id: str
     params: dict[str, int]
-    passed: bool
-    witness: Poly | None
-    elapsed_ms: float
+    residue: Poly
 
-    def __post_init__(self) -> None:
-        if self.statement_id not in STATEMENT_IDS:
-            raise ValueError(f"unknown statement id {self.statement_id!r}")
-        if self.passed != (self.witness is None or self.witness.is_zero()):
-            raise ValueError("witness must be absent or zero iff passed")
+    @property
+    def passed(self) -> bool:
+        return self.residue.is_zero()
 
-
-_pascal_rows: list[tuple[int, ...]] = [(1,)]
+    @property
+    def witness(self) -> Poly | None:
+        return None if self.passed else self.residue
 
 
 def binom(n: int, k: int) -> int:
-    """Integer binomial coefficient by Pascal's rule, in exact big integers.
+    """Integer binomial coefficient, in exact big integers; 0 unless 0 <= k <= n.
 
     Kept independent of the q-binomial construction so that q = 1
     specializations are checked against a separately computed value.
     """
     if n < 0:
         raise ValueError(f"binom needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    while len(_pascal_rows) <= n:
-        prev = _pascal_rows[-1]
-        _pascal_rows.append(
-            (1, *(prev[i] + prev[i + 1] for i in range(len(prev) - 1)), 1)
-        )
-    return _pascal_rows[n][k]
+    return comb(n, k) if k >= 0 else 0
 
 
 def _require_prime(p: int, statement: str, minimum: int = 2) -> None:
@@ -88,19 +78,6 @@ def _exact_scalar(numerator: int, divisor: int) -> int:
             f"scalar coefficient {numerator}/{divisor} is not an integer"
         )
     return value
-
-
-def _finish(
-    statement_id: str, params: dict[str, int], diff: Poly, t0: float
-) -> CheckResult:
-    passed = diff.is_zero()
-    return CheckResult(
-        statement_id=statement_id,
-        params=params,
-        passed=passed,
-        witness=None if passed else diff,
-        elapsed_ms=(perf_counter() - t0) * 1000.0,
-    )
 
 
 def _qp_minus_one(p: int) -> Poly:
@@ -127,13 +104,12 @@ def check_qchu(m: int, n: int, k: int) -> CheckResult:
 
         C_q(m+n, k) = sum_j C_q(m, j) C_q(n, k-j) q^(j(n-k+j)).
     """
-    t0 = perf_counter()
     _require(m >= 0 and n >= 0 and k >= 0, "qchu needs nonnegative m, n, k")
     lhs = q_binomial(m + n, k)
     rhs = Poly()
     for j in range(max(0, k - n), min(m, k) + 1):
         rhs = rhs + (q_binomial(m, j) * q_binomial(n, k - j)).shift(j * (n - k + j))
-    return _finish("qchu", {"m": m, "n": n, "k": k}, lhs - rhs, t0)
+    return CheckResult({"m": m, "n": n, "k": k}, lhs - rhs)
 
 
 def check_expansion_identity(
@@ -149,7 +125,6 @@ def check_expansion_identity(
     polynomial; this leaves the enumerated sum unchanged, and the budget
     still caps the conceptual (p+1)^a composition space.
     """
-    t0 = perf_counter()
     _require_prime(p, "expansion")
     _require(0 <= b <= a, f"expansion needs 0 <= b <= a, got a={a}, b={b}")
     if (p + 1) ** a > budget:
@@ -169,7 +144,7 @@ def check_expansion_identity(
         layer = nxt
     rhs = layer.get(target, Poly())
     lhs = q_binomial(a * p, b * p)
-    return _finish("expansion", {"p": p, "a": a, "b": b}, lhs - rhs, t0)
+    return CheckResult({"p": p, "a": a, "b": b}, lhs - rhs)
 
 
 def check_convolution_identity(p: int) -> CheckResult:
@@ -180,25 +155,23 @@ def check_convolution_identity(p: int) -> CheckResult:
 
     exact for every prime p >= 2.
     """
-    t0 = perf_counter()
     _require_prime(p, "convolution")
     lhs = Poly()
     for d in range(1, p):
         lhs = lhs + (q_binomial(p, d) * q_binomial(p, p - d)).shift(d * d)
     rhs = q_binomial(2 * p, p) - _two_power(p)
-    return _finish("convolution", {"p": p}, lhs - rhs, t0)
+    return CheckResult({"p": p}, lhs - rhs)
 
 
 def check_clark(p: int, a: int, b: int, k: int = 2) -> CheckResult:
     """Clark's congruence: C_q(ap, bp) = C_{q^(p^2)}(a, b) mod ([p]_q)^2."""
-    t0 = perf_counter()
     _require_prime(p, "clark")
     _require(0 <= b <= a, f"clark needs 0 <= b <= a, got a={a}, b={b}")
     ctx = CongruenceContext(p, k)
     lhs = q_binomial(a * p, b * p)
     rhs = q_binomial(a, b).substitute_power(p * p)
     diff = ctx.reduce(lhs - rhs)
-    return _finish("clark", {"p": p, "a": a, "b": b, "k": k}, diff, t0)
+    return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
 def check_q_ljunggren(p: int, a: int, b: int, k: int = 3) -> CheckResult:
@@ -209,11 +182,10 @@ def check_q_ljunggren(p: int, a: int, b: int, k: int = 3) -> CheckResult:
 
     modulo ([p]_q)^3.
     """
-    t0 = perf_counter()
     _require_prime(p, "q_ljunggren", minimum=5)
     _require(0 <= b <= a, f"q_ljunggren needs 0 <= b <= a, got a={a}, b={b}")
     diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, a, b))
-    return _finish("q_ljunggren", {"p": p, "a": a, "b": b, "k": k}, diff, t0)
+    return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
 def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
@@ -224,7 +196,6 @@ def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
 
     modulo ([p]_q)^3.
     """
-    t0 = perf_counter()
     _require_prime(p, "cong2", minimum=5)
     _require(0 <= b <= a, f"cong2 needs 0 <= b <= a, got a={a}, b={b}")
     ctx = CongruenceContext(p, k)
@@ -234,7 +205,7 @@ def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
         q_binomial(2 * p, p) - _two_power(p)
     )
     diff = ctx.reduce(lhs - rhs)
-    return _finish("cong2", {"p": p, "a": a, "b": b, "k": k}, diff, t0)
+    return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
 def check_q_wolstenholme(p: int, k: int = 3) -> CheckResult:
@@ -244,10 +215,9 @@ def check_q_wolstenholme(p: int, k: int = 3) -> CheckResult:
 
     modulo ([p]_q)^3.  This is the a=2, b=1 case of check_q_ljunggren.
     """
-    t0 = perf_counter()
     _require_prime(p, "q_wolstenholme", minimum=5)
     diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, 2, 1))
-    return _finish("q_wolstenholme", {"p": p, "k": k}, diff, t0)
+    return CheckResult({"p": p, "k": k}, diff)
 
 
 def check_shipan(p: int) -> CheckResult:
@@ -257,7 +227,6 @@ def check_shipan(p: int) -> CheckResult:
                                                      mod ([p]_q)^2,
         sum 1/[i]_q^2 = -((p-1)(p-5)/12)(q-1)^2      mod [p]_q.
     """
-    t0 = perf_counter()
     _require_prime(p, "shipan", minimum=5)
     qm1 = Poly((-1, 1))
     ctx2 = CongruenceContext(p, 2)
@@ -267,23 +236,17 @@ def check_shipan(p: int) -> CheckResult:
         + _exact_scalar(p * p - 1, 24) * qm1 ** 2 * q_number(p)
     )
     ok1 = ctx2.frac_congruent(num1, den1, rhs1)
+    diff1 = Poly() if ok1 else ctx2.reduce(num1 - rhs1 * den1)
 
     ctx1 = CongruenceContext(p, 1)
     num2, den2 = q_harmonic_sum(ctx1, 2)
     rhs2 = -_exact_scalar((p - 1) * (p - 5), 12) * qm1 ** 2
     ok2 = ctx1.frac_congruent(num2, den2, rhs2)
+    diff2 = Poly() if ok2 else ctx1.reduce(num2 - rhs2 * den2)
 
-    if ok1 and ok2:
-        witness = Poly()
-    elif not ok1:
-        witness = ctx2.reduce(num1 - rhs1 * den1)
-    else:
-        witness = ctx1.reduce(num2 - rhs2 * den2)
-    return _finish(
-        "shipan",
+    return CheckResult(
         {"p": p, "harmonic1_ok": int(ok1), "harmonic2_ok": int(ok2)},
-        witness,
-        t0,
+        diff1 if not ok1 else diff2,
     )
 
 
@@ -292,16 +255,12 @@ def check_double_harmonic(p: int) -> CheckResult:
 
         sum_{i<j} 1/([i]_q [j]_q) = ((p-1)(p-2)/6)(q-1)^2  mod [p]_q.
     """
-    t0 = perf_counter()
     _require_prime(p, "double_harmonic", minimum=5)
     ctx = CongruenceContext(p, 1)
     num, den = q_double_harmonic(ctx)
     rhs = _exact_scalar((p - 1) * (p - 2), 6) * Poly((-1, 1)) ** 2
-    if ctx.frac_congruent(num, den, rhs):
-        diff = Poly()
-    else:
-        diff = ctx.reduce(num - rhs * den)
-    return _finish("double_harmonic", {"p": p}, diff, t0)
+    ok = ctx.frac_congruent(num, den, rhs)
+    return CheckResult({"p": p}, Poly() if ok else ctx.reduce(num - rhs * den))
 
 
 def check_power_reduction(p: int) -> CheckResult:
@@ -313,7 +272,6 @@ def check_power_reduction(p: int) -> CheckResult:
     (ii)  C_q(2p, p)  = 2 + p(q^p - 1) + ((p-1)(5p-1)/12)(q^p - 1)^2;
     (iii) 1 + q^(p^2) = 2 + p(q^p - 1) + ((p-1)p/2)(q^p - 1)^2.
     """
-    t0 = perf_counter()
     _require_prime(p, "power_reduction", minimum=5)
     ctx = CongruenceContext(p, 3)
     central = q_binomial(2 * p, p)
@@ -338,17 +296,15 @@ def check_power_reduction(p: int) -> CheckResult:
     diff3 = ctx.reduce(_two_power(p) - rhs3)
 
     ok2, ok3 = diff2.is_zero(), diff3.is_zero()
-    witness = diff1 if not ok1 else (diff2 if not ok2 else diff3)
-    return _finish(
-        "power_reduction",
+    residue = diff1 if not ok1 else (diff2 if not ok2 else diff3)
+    return CheckResult(
         {
             "p": p,
             "harmonic_form_ok": int(ok1),
             "central_reduction_ok": int(ok2),
             "two_power_ok": int(ok3),
         },
-        witness,
-        t0,
+        residue,
     )
 
 
@@ -363,7 +319,6 @@ def check_classical(p: int, a: int, b: int) -> CheckResult:
     three hold for primes p >= 5; smaller primes are accepted and report
     their genuine failures, p = 3 being the documented negative control.
     """
-    t0 = perf_counter()
     _require_prime(p, "classical")
     _require(0 <= b <= a, f"classical needs 0 <= b <= a, got a={a}, b={b}")
     binom_res = (binom(a * p, b * p) - binom(a, b)) % p ** 3
@@ -374,20 +329,16 @@ def check_classical(p: int, a: int, b: int) -> CheckResult:
     h1 = sum(fact // i for i in range(1, p)) % p ** 2
     h2 = sum((fact * fact) // (i * i) for i in range(1, p)) % p
 
-    ok_binom, ok_h1, ok_h2 = binom_res == 0, h1 == 0, h2 == 0
-    residue = binom_res if not ok_binom else (h1 if not ok_h1 else h2)
-    return _finish(
-        "classical",
+    return CheckResult(
         {
             "p": p,
             "a": a,
             "b": b,
-            "binom_ok": int(ok_binom),
-            "harmonic1_ok": int(ok_h1),
-            "harmonic2_ok": int(ok_h2),
+            "binom_ok": int(binom_res == 0),
+            "harmonic1_ok": int(h1 == 0),
+            "harmonic2_ok": int(h2 == 0),
         },
-        Poly((residue,)),
-        t0,
+        Poly((binom_res or h1 or h2,)),
     )
 
 
@@ -398,12 +349,11 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
 
         a*b*(a-b)*binom(a, b) = 2a * binom(a, b+1) * binom(b+1, 2).
 
-    The witness is the residue mod p^(3+r), or the identity's gap when the
-    residue is zero.  ``q_exponent`` in the params is exploratory data: the
+    The residue is binom(ap, bp) - binom(a, b) mod p^(3+r), or the
+    identity's gap when that is zero.  ``q_exponent`` in the params is exploratory data: the
     largest k <= 5 for which the corrected q-congruence of
     check_q_ljunggren still holds modulo ([p]_q)^k.
     """
-    t0 = perf_counter()
     _require_prime(p, "jacobsthal", minimum=5)
     _require(0 < b < a, f"jacobsthal needs 0 < b < a, got a={a}, b={b}")
     value = a * b * (a - b) * binom(a, b)
@@ -421,11 +371,9 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
         if not CongruenceContext(p, k).reduce(gap).is_zero():
             break
         q_exponent = k
-    return _finish(
-        "jacobsthal",
+    return CheckResult(
         {"p": p, "a": a, "b": b, "r": r, "q_exponent": q_exponent},
         Poly((residue or identity_gap,)),
-        t0,
     )
 
 
@@ -437,9 +385,10 @@ class Statement:
     0 <= b <= a, or (p, a, b) with 0 < b < a.  A curated catalog run uses
     primes from ``min_p`` up, plus ``control_primes`` as negative controls
     whose failures are expected.  ``run`` takes the grid's parameters and
-    the run-wide ``settings`` it accepts (``k``, ``budget``) as keywords;
-    it looks the check up by module name at call time, so a wrapped check
-    is the one that runs.
+    the run-wide ``settings`` it accepts (``k``, ``budget``) as keywords
+    and returns the check's CheckResult; the driver times the call and
+    names the result by the table key.  ``run`` looks the check up by
+    module name at call time, so a wrapped check is the one that runs.
     """
 
     grid: Literal["mnk", "p", "pab", "pab_inner"]

@@ -16,6 +16,7 @@ import pytest
 from qcong.cli import RunConfig, _parse_p_values, main, run_checks
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial
+from qcong.statements import STATEMENT_IDS
 
 
 def test_parse_p_values():
@@ -232,6 +233,29 @@ def test_report_written_to_file(tmp_path, capsys):
     on_disk = json.loads(out.read_text())
     assert on_disk["summary"]["failed"] == 0
     assert on_disk["config"]["output_path"] == str(out)
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--statements", "clark", "--p", "5", "--a-max", "1"],
+    ["all", "--p-max", "5", "--a-max", "1"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
+    code = main(command + ["--out", str(tmp_path / "no" / "such" / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: cannot write --out ")
+
+
+@pytest.mark.parametrize("sid", STATEMENT_IDS)
+def test_records_are_timed_and_named_by_the_driver(capsys, sid):
+    main(["check", "--statements", sid, "--p", "5", "--a-max", "2", "--format", "json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results
+    for record in results:
+        assert record["statement"] == sid
+        assert isinstance(record["elapsed_ms"], float) and record["elapsed_ms"] >= 0.0
 
 
 def test_reduce_small_case(capsys):
