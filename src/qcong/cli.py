@@ -2,8 +2,9 @@
 and emit human-readable or JSON reports.
 
 Exit codes: 0 when every executed check passed (expected failures under
---negative-controls do not count), 1 when any check failed or errored,
-2 on usage or configuration errors.
+--negative-controls do not count; a run whose every instance is skipped
+passes too, since a skip means "does not apply"), 1 when any check failed
+or errored, 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -134,7 +135,10 @@ def _parse_p_values(text: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return list(dict.fromkeys(int(v) for v in text.split(",") if v.strip()))
+    values = list(dict.fromkeys(int(v) for v in text.split(",") if v.strip()))
+    if not values:
+        raise ValueError(f"no values in {text!r}")
+    return values
 
 
 def _ab_pairs(cfg: RunConfig) -> list[tuple[int, int]]:
@@ -242,9 +246,12 @@ def run_checks(cfg: RunConfig) -> Report:
     )
 
 
-def _run(cfg: RunConfig) -> int:
-    """Run the checks and print the report, and write it to --out, which is
+def _run(args: argparse.Namespace, **fields) -> int:
+    """Run the checks configured by fields and the options that check and
+    all share, and print the report; write it to --out too, which is
     opened first so that an unwritable path fails before any check runs."""
+    cfg = RunConfig(a_max=args.a_max, budget=args.budget, output_path=args.out,
+                    format=args.format, negative_controls=args.negative_controls, **fields)
     try:
         out = open(cfg.output_path, "w", encoding="utf-8") if cfg.output_path else nullcontext()
     except OSError as exc:
@@ -279,18 +286,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.k_override is not None and not takes_k:
         print(f"error: --k-override applies only to {_taking('k')}", file=sys.stderr)
         return 2
-    cfg = RunConfig(
-        statements=stmts,
-        p_values=p_values,
-        a_max=args.a_max,
-        b_max=args.b_max,
-        k_override=args.k_override,
-        budget=args.budget,
-        output_path=args.out,
-        format=args.format,
-        negative_controls=args.negative_controls,
-    )
-    return _run(cfg)
+    return _run(args, statements=stmts, p_values=p_values, b_max=args.b_max,
+                k_override=args.k_override)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -311,17 +308,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_all(args: argparse.Namespace) -> int:
     primes = [p for p in range(2, args.p_max + 1) if is_prime(p)]
-    cfg = RunConfig(
-        statements=list(st.STATEMENT_IDS),
-        p_values=primes,
-        a_max=args.a_max,
-        budget=args.budget,
-        output_path=args.out,
-        format=args.format,
-        negative_controls=args.negative_controls,
-        explicit_p=False,
-    )
-    return _run(cfg)
+    return _run(args, statements=list(st.STATEMENT_IDS), p_values=primes, explicit_p=False)
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -350,24 +337,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="run selected statements over a parameter grid")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--a-max", type=_at_least(0), default=4)
+    shared.add_argument("--budget", type=_at_least(1), default=10**6,
+                        help="cap on the (p+1)^a composition space of "
+                             + _taking("budget"))
+    shared.add_argument("--out", default=None, help="write a JSON report to this path")
+    shared.add_argument("--format", choices=("text", "json"), default="text")
+    shared.add_argument("--negative-controls", action="store_true",
+                        help=f"run the negative controls ({controls}); their "
+                             "expected failures do not affect the exit code")
+
+    check = sub.add_parser("check", parents=[shared],
+                           help="run selected statements over a parameter grid")
     check.add_argument("--statements", required=True,
                        help="comma-separated ids from: " + ", ".join(st.STATEMENT_IDS))
     check.add_argument("--p", default="5,7,11,13",
                        help="primes as a comma list '5,7,11' or range '5..13'; "
                             "non-primes are skipped")
-    check.add_argument("--a-max", type=_at_least(0), default=4)
     check.add_argument("--b-max", type=_at_least(0), default=None)
     check.add_argument("--k-override", type=_at_least(1), default=None,
                        help="override the modulus exponent for " + _taking("k"))
-    check.add_argument("--budget", type=_at_least(1), default=10**6,
-                       help="cap on the (p+1)^a composition space of "
-                            + _taking("budget"))
-    check.add_argument("--out", default=None, help="write a JSON report to this path")
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--negative-controls", action="store_true",
-                       help=f"run the negative controls ({controls}); their "
-                            "expected failures do not affect the exit code")
     check.set_defaults(func=cmd_check)
 
     reduce_p = sub.add_parser("reduce",
@@ -378,13 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--power", type=_at_least(1), default=3)
     reduce_p.set_defaults(func=cmd_reduce)
 
-    all_p = sub.add_parser("all", help="run the full statement catalog")
+    all_p = sub.add_parser("all", parents=[shared], help="run the full statement catalog")
     all_p.add_argument("--p-max", type=_at_least(2), default=13)
-    all_p.add_argument("--a-max", type=_at_least(0), default=4)
-    all_p.add_argument("--budget", type=_at_least(1), default=10**6)
-    all_p.add_argument("--out", default=None)
-    all_p.add_argument("--format", choices=("text", "json"), default="text")
-    all_p.add_argument("--negative-controls", action="store_true")
     all_p.set_defaults(func=cmd_all)
     return parser
 

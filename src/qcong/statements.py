@@ -7,6 +7,8 @@ p >= 5 reject smaller primes with PrecondViolationError instead of
 reporting a failure; "does not apply" and "is false" are kept distinct.
 The one exception is check_classical, which accepts p = 3 so the known
 failure of the mod-p^3 congruence there can serve as a negative control.
+A compound check (shipan, power_reduction, classical) has one 0/1 flag
+per part in its params, and the residue of its first failing part.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ class CheckResult:
 
     ``residue`` is the reduced difference that should be zero; the check
     passed exactly when it is.  ``witness`` is the residue of a failed
-    check and None for a passed one.
+    check and None for a passed one.  For a compound check, ``params``
+    holds one 0/1 ``*_ok`` flag per part and ``residue`` is that of the
+    first failing part.
     """
 
     params: dict[str, int]
@@ -78,6 +82,19 @@ def _exact_scalar(numerator: int, divisor: int) -> int:
             f"scalar coefficient {numerator}/{divisor} is not an integer"
         )
     return value
+
+
+def _parts(params: dict[str, int], **residues: Poly) -> CheckResult:
+    """A compound check's result: params, then one flag per keyword, 1 when
+    that part's residue is zero; the residue is the first nonzero part."""
+    flags = {name: int(not r) for name, r in residues.items()}
+    first_failure = next((r for r in residues.values() if r), Poly())
+    return CheckResult({**params, **flags}, first_failure)
+
+
+def _frac_residue(ctx: CongruenceContext, num: Poly, den: Poly, r: Poly) -> Poly:
+    """Zero when num/den = r modulo ctx's M, else num - r * den reduced."""
+    return Poly() if ctx.frac_congruent(num, den, r) else ctx.reduce(num - r * den)
 
 
 def _qp_minus_one(p: int) -> Poly:
@@ -235,18 +252,15 @@ def check_shipan(p: int) -> CheckResult:
         -_exact_scalar(p - 1, 2) * qm1
         + _exact_scalar(p * p - 1, 24) * qm1 ** 2 * q_number(p)
     )
-    ok1 = ctx2.frac_congruent(num1, den1, rhs1)
-    diff1 = Poly() if ok1 else ctx2.reduce(num1 - rhs1 * den1)
 
     ctx1 = CongruenceContext(p, 1)
     num2, den2 = q_harmonic_sum(ctx1, 2)
     rhs2 = -_exact_scalar((p - 1) * (p - 5), 12) * qm1 ** 2
-    ok2 = ctx1.frac_congruent(num2, den2, rhs2)
-    diff2 = Poly() if ok2 else ctx1.reduce(num2 - rhs2 * den2)
 
-    return CheckResult(
-        {"p": p, "harmonic1_ok": int(ok1), "harmonic2_ok": int(ok2)},
-        diff1 if not ok1 else diff2,
+    return _parts(
+        {"p": p},
+        harmonic1_ok=_frac_residue(ctx2, num1, den1, rhs1),
+        harmonic2_ok=_frac_residue(ctx1, num2, den2, rhs2),
     )
 
 
@@ -259,8 +273,7 @@ def check_double_harmonic(p: int) -> CheckResult:
     ctx = CongruenceContext(p, 1)
     num, den = q_double_harmonic(ctx)
     rhs = _exact_scalar((p - 1) * (p - 2), 6) * Poly((-1, 1)) ** 2
-    ok = ctx.frac_congruent(num, den, rhs)
-    return CheckResult({"p": p}, Poly() if ok else ctx.reduce(num - rhs * den))
+    return CheckResult({"p": p}, _frac_residue(ctx, num, den, rhs))
 
 
 def check_power_reduction(p: int) -> CheckResult:
@@ -285,26 +298,15 @@ def check_power_reduction(p: int) -> CheckResult:
         + (h1_num * h1_den * pn).shift(p * (p - 2))
         + (dh_num * pn ** 2).shift(p * (p - 3))
     ) * q_number(2).substitute_power(p)
-    ok1 = ctx.frac_congruent(num, dh_den, central)
-    diff1 = Poly() if ok1 else ctx.reduce(num - central * dh_den)
 
     qp1 = _qp_minus_one(p)
     rhs2 = 2 + p * qp1 + _exact_scalar((p - 1) * (5 * p - 1), 12) * qp1 ** 2
-    diff2 = ctx.reduce(central - rhs2)
-
     rhs3 = 2 + p * qp1 + _exact_scalar((p - 1) * p, 2) * qp1 ** 2
-    diff3 = ctx.reduce(_two_power(p) - rhs3)
-
-    ok2, ok3 = diff2.is_zero(), diff3.is_zero()
-    residue = diff1 if not ok1 else (diff2 if not ok2 else diff3)
-    return CheckResult(
-        {
-            "p": p,
-            "harmonic_form_ok": int(ok1),
-            "central_reduction_ok": int(ok2),
-            "two_power_ok": int(ok3),
-        },
-        residue,
+    return _parts(
+        {"p": p},
+        harmonic_form_ok=_frac_residue(ctx, num, dh_den, central),
+        central_reduction_ok=ctx.reduce(central - rhs2),
+        two_power_ok=ctx.reduce(_two_power(p) - rhs3),
     )
 
 
@@ -329,16 +331,11 @@ def check_classical(p: int, a: int, b: int) -> CheckResult:
     h1 = sum(fact // i for i in range(1, p)) % p ** 2
     h2 = sum((fact * fact) // (i * i) for i in range(1, p)) % p
 
-    return CheckResult(
-        {
-            "p": p,
-            "a": a,
-            "b": b,
-            "binom_ok": int(binom_res == 0),
-            "harmonic1_ok": int(h1 == 0),
-            "harmonic2_ok": int(h2 == 0),
-        },
-        Poly((binom_res or h1 or h2,)),
+    return _parts(
+        {"p": p, "a": a, "b": b},
+        binom_ok=Poly((binom_res,)),
+        harmonic1_ok=Poly((h1,)),
+        harmonic2_ok=Poly((h2,)),
     )
 
 

@@ -28,6 +28,8 @@ def test_parse_p_values():
         _parse_p_values("7..5")
     with pytest.raises(ValueError):
         _parse_p_values("x,y")
+    with pytest.raises(ValueError):
+        _parse_p_values(" , ")
 
 
 def test_unknown_statement_is_a_usage_error(capsys):
@@ -91,6 +93,22 @@ def test_non_prime_p_is_skipped(capsys):
     assert report["summary"]["skipped"] == 1
     assert report["skipped"][0]["params"] == {"p": 4}
     assert "not prime" in report["skipped"][0]["reason"]
+
+
+@pytest.mark.parametrize("p", ["", ","])
+def test_empty_p_is_a_usage_error(capsys, p):
+    assert main(["check", "--statements", "clark", "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+def test_a_run_of_skips_only_exits_zero(capsys):
+    # SKIP means "does not apply", so a run that executes no check passes
+    code = main(["check", "--statements", "clark", "--p", "4", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["results"] == [] and report["summary"]["skipped"] == 1
 
 
 def test_small_primes_skipped_as_not_applicable(capsys):
@@ -300,6 +318,30 @@ def test_bounds_are_usage_errors_in_both_subcommands(capsys, flag, value, low):
         captured = capsys.readouterr()
         assert not captured.out
         assert f"argument {flag}: must be >= {low}, got {value}" in captured.err
+
+
+def _option_help(help_text: str) -> dict[str, str]:
+    """Each option's entry in argparse help, keyed by its first flag, with
+    whitespace collapsed."""
+    entries: dict[str, str] = {}
+    flag = None
+    for line in help_text.split("options:", 1)[1].splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = line
+        elif flag:
+            entries[flag] += " " + line
+    return {f: " ".join(entry.split()) for f, entry in entries.items()}
+
+
+def test_shared_options_have_the_same_help_in_check_and_all(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    helps = []
+    for command in ("check", "all"):
+        assert main([command, "--help"]) == 0
+        helps.append(_option_help(capsys.readouterr().out))
+    for flag in ("--a-max", "--budget", "--out", "--format", "--negative-controls"):
+        assert helps[0][flag] == helps[1][flag], flag
 
 
 def test_all_with_no_large_primes(capsys):

@@ -7,6 +7,7 @@ import math
 import pytest
 from conftest import list_add, list_mul, list_shift, qbinom_pascal
 
+import qcong.statements as statements
 from qcong.congruence import CongruenceContext
 from qcong.poly import Poly
 from qcong.qanalogs import q_binomial, q_number
@@ -222,6 +223,22 @@ def test_shipan_p7():
     assert check_shipan(7).passed
 
 
+def test_shipan_reports_a_failing_second_part(monkeypatch):
+    real = statements.q_harmonic_sum
+
+    def second_numerator_plus_one(ctx, s):
+        num, den = real(ctx, s)
+        return (num + 1 if s == 2 else num), den
+
+    monkeypatch.setattr(statements, "q_harmonic_sum", second_numerator_plus_one)
+    res = check_shipan(7)
+    assert res.params == {"p": 7, "harmonic1_ok": 1, "harmonic2_ok": 0}
+    ctx = CongruenceContext(7, 1)
+    num, den = second_numerator_plus_one(ctx, 2)
+    rhs2 = -((7 - 1) * (7 - 5) // 12) * Poly([-1, 1]) ** 2
+    assert res.witness == ctx.reduce(num - rhs2 * den)
+
+
 def test_shipan_rejects_p3():
     with pytest.raises(PrecondViolationError):
         check_shipan(3)
@@ -246,6 +263,18 @@ def test_power_reduction(p):
     assert res.params["harmonic_form_ok"] == 1
     assert res.params["central_reduction_ok"] == 1
     assert res.params["two_power_ok"] == 1
+
+
+def test_power_reduction_reports_a_failing_third_part(monkeypatch):
+    real = statements._two_power
+    monkeypatch.setattr(statements, "_two_power", lambda p: real(p) + 1)
+    res = check_power_reduction(7)
+    assert list(res.params.items()) == [
+        ("p", 7), ("harmonic_form_ok", 1), ("central_reduction_ok", 1), ("two_power_ok", 0),
+    ]
+    qp1 = Poly.monomial(7) - 1
+    rhs3 = 2 + 7 * qp1 + (6 * 7 // 2) * qp1 ** 2
+    assert res.witness == CongruenceContext(7, 3).reduce(real(7) + 1 - rhs3)
 
 
 def test_power_reduction_scalars_p5():
@@ -277,6 +306,16 @@ def test_classical_p3_is_the_negative_control():
     assert res.params["binom_ok"] == 0
     assert binom(6, 3) % 27 == 20
     assert res.witness == Poly([18])
+
+
+def test_classical_reports_the_first_failing_part():
+    # at p = 3: binom(3, 0) = binom(1, 0), sum 1/i = 2/1 + 2/2 = 3 mod 9 and
+    # sum 1/i^2 = 4/1 + 4/4 = 2 mod 3; the witness is the first failure's 3
+    res = check_classical(3, 1, 0)
+    assert res.params == {
+        "p": 3, "a": 1, "b": 0, "binom_ok": 1, "harmonic1_ok": 0, "harmonic2_ok": 0,
+    }
+    assert res.witness == Poly([3])
 
 
 def test_classical_runs_even_at_p2():
