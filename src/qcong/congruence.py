@@ -19,10 +19,11 @@ caller's M, never over the full ([p-1]_q!)^s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce as fold
 from math import comb
 
 from .poly import Poly
-from .qanalogs import InternalNonDivisibleError, modulus, q_number
+from .qanalogs import InternalNonDivisibleError, modulus
 
 
 class DenominatorNotUnitError(ValueError):
@@ -69,8 +70,8 @@ class CongruenceContext:
     def frac_congruent(self, num: Poly, den: Poly, r: Poly) -> bool:
         """True iff num = r * den modulo ([p]_q)^k, i.e. num/den = r.
 
-        num and den may be any representatives modulo ([p]_q)^k, reduced or
-        not: the verdict depends only on their classes.  Raises
+        num, den and r may be any representatives modulo ([p]_q)^k: the
+        verdict depends only on their classes, so r is reduced first.  Raises
         DenominatorNotUnitError when p divides den(1) (a zero den included):
         then den is not a unit modulo ([p]_q)^k in Z_(p)[q], and the
         fractional congruence would be meaningless.
@@ -81,16 +82,16 @@ class CongruenceContext:
                 f"denominator is not a unit modulo [{self.p}]_q: "
                 f"its value {at_one} at q = 1 is divisible by {self.p}"
             )
-        return self.congruent(num, r * den)
+        return self.congruent(num, self.reduce(r) * den)
 
 
 def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
     """The sum of 1/([i]_q)^s for i = 1..p-1 as a pair (num, den), both
     reduced modulo ctx's ([p]_q)^k.
 
-    den is ([p-1]_q!)^s and num the sum of the cofactors ([p-1]_q!)^s /
-    ([i]_q)^s, each known only modulo ([p]_q)^k; reduce is canonical, so the
-    pair is exactly the reduction of the full-size one.
+    den is ([p-1]_q!)^s and num sums the cofactors ([p-1]_q!)^s / ([i]_q)^s,
+    each kept modulo ([p]_q)^k by the canonical reduce, so the pair is the
+    full-size one reduced; times [i]_q is a prefix sum, Poly.times_q_number.
     """
     if s not in (1, 2):
         raise ValueError(f"harmonic power must be 1 or 2, got {s}")
@@ -98,8 +99,8 @@ def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
         raise ValueError(f"q_harmonic_sum needs a prime p >= 3, got {ctx.p}")
     num, den = Poly(), Poly((1,))
     for i in range(1, ctx.p):
-        t = q_number(i) ** s
-        num, den = ctx.reduce(num * t + den), ctx.reduce(den * t)
+        t_num, t_den = (fold(Poly.times_q_number, [i] * s, f) for f in (num, den))
+        num, den = ctx.reduce(t_num + den), ctx.reduce(t_den)
     return num, den
 
 
@@ -112,8 +113,12 @@ def q_double_harmonic(ctx: CongruenceContext) -> tuple[Poly, Poly]:
     x_i = 1/[i]_q.  Before reduction the halving is exact; reduce is
     Z-linear, so it stays exact coefficient-wise after it.
     """
-    num1, _ = q_harmonic_sum(ctx, 1)
-    num2, den2 = q_harmonic_sum(ctx, 2)
+    return double_from_singles(ctx, q_harmonic_sum(ctx, 1)[0], *q_harmonic_sum(ctx, 2))
+
+
+def double_from_singles(ctx: CongruenceContext, num1: Poly, num2: Poly,
+                        den2: Poly) -> tuple[Poly, Poly]:
+    """q_double_harmonic from the single sums' num1 (s = 1) and num2, den2 (s = 2)."""
     twice = ctx.reduce(num1 * num1 - num2)
     if any(c % 2 for c in twice.coeffs):
         raise InternalNonDivisibleError(f"q_double_harmonic at p={ctx.p}: odd coefficient")

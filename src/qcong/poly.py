@@ -9,6 +9,7 @@ fails loudly.  Nothing in this module ever leaves integer arithmetic.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd as _int_gcd
 from typing import Iterable
 
@@ -48,6 +49,13 @@ class Poly:
         if not self.coeffs or e == 0:
             return self
         return Poly((0,) * e + self.coeffs)
+
+    def times_q_number(self, m: int) -> Poly:
+        """Return self * [m]_q, for m >= 0, as the prefix sums of self - q^m self."""
+        if m < 0:
+            raise ValueError(f"q-number must be nonnegative, got {m}")
+        pad = (0,) * m
+        return Poly(accumulate(a - b for a, b in zip(self.coeffs + pad, pad + self.coeffs)))
 
     @property
     def degree(self) -> int | None:

@@ -8,7 +8,7 @@ what makes ([p]_q)^k the natural polynomial analog of the prime power p^k.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce as fold
 from itertools import accumulate
 
 from .poly import Poly
@@ -75,10 +75,10 @@ def q_binomial(n: int, k: int) -> Poly:
 
 
 def modulus(p: int, k: int) -> Poly:
-    """The congruence modulus ([p]_q)^k, monic of degree k(p-1)."""
+    """The congruence modulus ([p]_q)^k, monic of degree k(p-1), by prefix sums."""
     if not is_prime(p):
         raise NotPrimeError(f"modulus requires a prime, got {p}")
     if k < 1:
         raise ValueError(f"modulus exponent must be >= 1, got {k}")
-    return q_number(p) ** k
+    return fold(Poly.times_q_number, [p] * k, Poly((1,)))
 

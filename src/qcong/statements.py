@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Literal
 
-from .congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
+from .congruence import (CongruenceContext, double_from_singles, q_double_harmonic,
+                         q_harmonic_sum)
 from .poly import Poly
 from .qanalogs import is_prime, q_binomial, q_number
 
@@ -94,6 +95,7 @@ def _parts(params: dict[str, int], **residues: Poly) -> CheckResult:
 
 def _frac_residue(ctx: CongruenceContext, num: Poly, den: Poly, r: Poly) -> Poly:
     """Zero when num/den = r modulo ctx's M, else num - r * den reduced."""
+    r = ctx.reduce(r)
     return Poly() if ctx.frac_congruent(num, den, r) else ctx.reduce(num - r * den)
 
 
@@ -284,20 +286,20 @@ def check_power_reduction(p: int) -> CheckResult:
           where H1 sums 1/[i]_q and H2' sums 1/([i]_q [j]_q) over i < j;
     (ii)  C_q(2p, p)  = 2 + p(q^p - 1) + ((p-1)(5p-1)/12)(q^p - 1)^2;
     (iii) 1 + q^(p^2) = 2 + p(q^p - 1) + ((p-1)p/2)(q^p - 1)^2.
+
+    (i) is cleared over dh_den = h1_den^2 modulo M, each single sum built once.
     """
     _require_prime(p, "power_reduction", minimum=5)
     ctx = CongruenceContext(p, 3)
     central = q_binomial(2 * p, p)
-    pn = q_number(p)
-
-    # both sums over the one denominator dh_den, as dh_den = h1_den^2 modulo M
     h1_num, h1_den = q_harmonic_sum(ctx, 1)
-    dh_num, dh_den = q_double_harmonic(ctx)
+    dh_num, dh_den = double_from_singles(ctx, h1_num, *q_harmonic_sum(ctx, 2))
     num = (
         dh_den.shift(p * (p - 1))
-        + (h1_num * h1_den * pn).shift(p * (p - 2))
-        + (dh_num * pn ** 2).shift(p * (p - 3))
-    ) * q_number(2).substitute_power(p)
+        + (h1_num * h1_den).times_q_number(p).shift(p * (p - 2))
+        + dh_num.times_q_number(p).times_q_number(p).shift(p * (p - 3))
+    )
+    num = num + num.shift(p)  # times 1 + q^p
 
     qp1 = _qp_minus_one(p)
     rhs2 = 2 + p * qp1 + _exact_scalar((p - 1) * (5 * p - 1), 12) * qp1 ** 2

@@ -293,3 +293,17 @@ def test_double_harmonic_guards_its_halving(monkeypatch):
     )
     with pytest.raises(InternalNonDivisibleError):
         q_double_harmonic(CongruenceContext(5, 2))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_harmonic_sum_takes_no_general_product(monkeypatch, s):
+    # times [i]_q is a prefix sum: the loop must not reach Poly.__mul__
+    ctx = CongruenceContext(31, 3)
+    expected = q_harmonic_sum(ctx, s)
+
+    def no_mul(self, other):
+        raise AssertionError("general polynomial product in the harmonic loop")
+
+    monkeypatch.setattr(Poly, "__mul__", no_mul)
+    monkeypatch.setattr(Poly, "__rmul__", no_mul)
+    assert q_harmonic_sum(ctx, s) == expected

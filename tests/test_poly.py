@@ -81,6 +81,24 @@ def test_shift_matches_monomial_product(p, e):
     assert p.shift(e) == p * Poly.monomial(e)
 
 
+# Long polynomials with wide coefficients of either sign: up to 300 terms of 300 bits.
+wide_polys = hst.lists(hst.integers(-(2**300), 2**300), max_size=300).map(Poly)
+
+
+@given(wide_polys, hst.integers(0, 80))
+def test_times_q_number_matches_schoolbook_product(p, m):
+    assert p.times_q_number(m) == p * q_number(m)
+
+
+def test_times_q_number_edge_cases():
+    assert Poly([3, -1, 4]).times_q_number(0) == Poly()
+    assert Poly().times_q_number(5) == Poly()
+    assert Poly([2, -3]).times_q_number(1) == Poly([2, -3])
+    assert Poly([1, -1]).times_q_number(3) == Poly([1, 0, 0, -1])
+    with pytest.raises(ValueError):
+        Poly([1]).times_q_number(-1)
+
+
 def test_divrem_monic_exact_factor():
     quot, rem = Poly([-1, 0, 1]).divrem_monic(Poly([-1, 1]))
     assert quot == Poly([1, 1])

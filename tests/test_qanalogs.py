@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import q_factorial, qbinom_pascal, qbinom_pascal_triangle
+from conftest import q_factorial, q_product, qbinom_pascal, qbinom_pascal_triangle
 from hypothesis import given, strategies as hst
 
 from qcong import qanalogs
@@ -118,6 +118,13 @@ def test_modulus_values():
     assert m.degree == 12
     assert m.coeffs[-1] == 1
     assert m.eval_at_one() == 125
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_modulus_matches_schoolbook_power(p, k):
+    # built by prefix sums; the oracle multiplies the coefficient lists out
+    assert modulus(p, k) == Poly(q_product([p] * k))
 
 
 def test_modulus_rejects_composites_and_bad_exponents():
