@@ -12,14 +12,17 @@ p = 5, are coprime to [p]_q yet not units.
 
 A fraction is a plain (N, D) pair, and any representatives modulo M serve:
 M(1) = p^k, so reducing D leaves D(1) mod p, and hence the unit test, as it
-was.  The q-harmonic sums are built that way, as pairs reduced modulo the
-caller's M, never over the full ([p-1]_q!)^s.
+was.  The q-harmonic sums are built that way, never over the full
+([p-1]_q!)^s: once per prime, modulo ([p]_q)^max(k,3), folded modulo the
+sparse (q^p - 1)^max(k,3) at each step and reduced once at the end.  A
+caller with k < 3 gets that pair reduced modulo its own M, which is the
+same pair, since reduce is canonical and ([p]_q)^k divides ([p]_q)^3.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import reduce as fold
 from math import comb
 
 from .poly import Poly
@@ -42,26 +45,36 @@ class CongruenceContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "modulus", modulus(self.p, self.k))
 
+    def fold(self, a: Poly) -> Poly:
+        """a folded modulo (q^p - 1)^k = (1 - q)^k ([p]_q)^k, to at most kp
+        coefficients.
+
+        That modulus has k + 1 terms, all at multiples of p, so a is folded a
+        block of p coefficients at a time.  The result keeps a's class modulo
+        ([p]_q)^k and its value at q = 1, where q^p - 1 vanishes; it is not
+        canonical.
+        """
+        p, k = self.p, self.k
+        if len(a.coeffs) <= k * p:
+            return a
+        r = list(a.coeffs)
+        r += [0] * (-len(r) % p)
+        blocks = [r[i:i + p] for i in range(0, len(r), p)]
+        terms = [(j, (-1) ** (k - j) * comb(k, j)) for j in range(k)]
+        for s in reversed(range(len(blocks) - k)):
+            top = blocks[s + k]
+            for j, c in terms:
+                blocks[s + j] = [x - c * y for x, y in zip(blocks[s + j], top)]
+        return Poly([x for b in blocks[:k] for x in b])
+
     def reduce(self, a: Poly) -> Poly:
         """Canonical remainder of a modulo ([p]_q)^k; degree < k(p-1).
 
-        a is first folded modulo (q^p - 1)^k = (1 - q)^k ([p]_q)^k, which has
-        k + 1 terms, all at multiples of p, a block of p coefficients at a time;
-        the fewer than kp left are divided by ([p]_q)^k.  Coefficients are not
-        range-normalized: the degree bound makes the remainder unique in Z[q].
+        a is folded first, and the at most kp coefficients left are divided
+        by ([p]_q)^k.  Coefficients are not range-normalized: the degree
+        bound makes the remainder unique in Z[q].
         """
-        p, k = self.p, self.k
-        r = list(a.coeffs)
-        if len(r) > k * p:
-            r += [0] * (-len(r) % p)
-            blocks = [r[i:i + p] for i in range(0, len(r), p)]
-            terms = [(j, (-1) ** (k - j) * comb(k, j)) for j in range(k)]
-            for s in reversed(range(len(blocks) - k)):
-                top = blocks[s + k]
-                for j, c in terms:
-                    blocks[s + j] = [x - c * y for x, y in zip(blocks[s + j], top)]
-            r = [x for b in blocks[:k] for x in b]
-        return Poly(r).divrem_monic(self.modulus)[1]
+        return self.fold(a).divrem_monic(self.modulus)[1]
 
     def congruent(self, a: Poly, b: Poly) -> bool:
         """True iff ([p]_q)^k divides a - b in Z[q]."""
@@ -90,18 +103,38 @@ def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
     reduced modulo ctx's ([p]_q)^k.
 
     den is ([p-1]_q!)^s and num sums the cofactors ([p-1]_q!)^s / ([i]_q)^s,
-    each kept modulo ([p]_q)^k by the canonical reduce, so the pair is the
-    full-size one reduced; times [i]_q is a prefix sum, Poly.times_q_number.
+    so the pair is the full-size one reduced.  Both s are built once per
+    prime, modulo ([p]_q)^max(k,3) (_harmonic_sums); for k < 3 that pair is
+    reduced again, which gives the same pair as building it modulo ctx's M.
     """
     if s not in (1, 2):
         raise ValueError(f"harmonic power must be 1 or 2, got {s}")
     if ctx.p < 3:
         raise ValueError(f"q_harmonic_sum needs a prime p >= 3, got {ctx.p}")
-    num, den = Poly(), Poly((1,))
-    for i in range(1, ctx.p):
-        t_num, t_den = (fold(Poly.times_q_number, [i] * s, f) for f in (num, den))
-        num, den = ctx.reduce(t_num + den), ctx.reduce(t_den)
+    num, den = _harmonic_sums(ctx.p, max(ctx.k, 3))[s - 1]
+    if ctx.k < 3:
+        return ctx.reduce(num), ctx.reduce(den)
     return num, den
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic_sums(p: int, k: int) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]]:
+    """q_harmonic_sum's pairs for s = 1 and s = 2 modulo ([p]_q)^k.
+
+    Each step adds 1/([i]_q)^s as (num [i]^s + den, den [i]^s), multiplying
+    by [i]_q with prefix sums (Poly.times_q_number), and folds both modulo
+    (q^p - 1)^k; one canonical reduce of each ends the loop.
+    """
+    ctx = CongruenceContext(p, k)
+    pairs = []
+    for s in (1, 2):
+        num, den = Poly(), Poly((1,))
+        for i in range(1, p):
+            t_num, t_den = (functools.reduce(Poly.times_q_number, [i] * s, f)
+                            for f in (num, den))
+            num, den = ctx.fold(t_num + den), ctx.fold(t_den)
+        pairs.append((ctx.reduce(num), ctx.reduce(den)))
+    return pairs[0], pairs[1]
 
 
 def q_double_harmonic(ctx: CongruenceContext) -> tuple[Poly, Poly]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd as _int_gcd
+from operator import sub
 from typing import Iterable
 
 
@@ -30,10 +31,11 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = coeffs if type(coeffs) is tuple else tuple(coeffs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        self.coeffs = cs if n == len(cs) else cs[:n]
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> Poly:
@@ -55,7 +57,7 @@ class Poly:
         if m < 0:
             raise ValueError(f"q-number must be nonnegative, got {m}")
         pad = (0,) * m
-        return Poly(accumulate(a - b for a, b in zip(self.coeffs + pad, pad + self.coeffs)))
+        return Poly(accumulate(map(sub, self.coeffs + pad, pad + self.coeffs)))
 
     @property
     def degree(self) -> int | None:

@@ -364,7 +364,9 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
     residue = (binom(a * p, b * p) - binom(a, b)) % p ** (3 + r)
     identity_gap = value - 2 * a * binom(a, b + 1) * binom(b + 1, 2)
 
-    gap = _ljunggren_gap(p, a, b)
+    # reduce is canonical and ([p]_q)^k divides ([p]_q)^5, so the gap's
+    # remainder modulo ([p]_q)^5 decides every k <= 5
+    gap = CongruenceContext(p, 5).reduce(_ljunggren_gap(p, a, b))
     q_exponent = 0
     for k in range(1, 6):
         if not CongruenceContext(p, k).reduce(gap).is_zero():

@@ -14,7 +14,10 @@ The q-harmonic oracles are the full-size sums over ([p-1]_q!)^s, from the
 definition: each numerator sums the cofactors [p-1]_q! / [i]_q (squared,
 or multiplied in pairs i < j) as coefficient lists.  The package keeps the
 sums reduced modulo ([p]_q)^k and builds the double sum from the single
-ones, so neither shortcut is shared with the oracle.
+ones, so neither shortcut is shared with the oracle.  The per-k oracle is
+the direct loop the package's cache replaced: one sum for each (p, k, s),
+reduced at every step by plain monic division by ([p]_q)^k, with no fold
+modulo (q^p - 1)^k; it stays cheap up to p = 61.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from qcong.poly import Poly
+from qcong.qanalogs import modulus
 
 
 def list_add(a: list[int], b: list[int]) -> list[int]:
@@ -104,3 +108,17 @@ def q_double_harmonic_full(p: int) -> tuple[Poly, Poly]:
         for i in range(j):
             num = list_add(num, list_mul(cof[i], cof[j]))
     return Poly(num), Poly(q_product(range(1, p), 2))
+
+
+@lru_cache(maxsize=None)
+def q_harmonic_per_k(p: int, k: int, s: int) -> tuple[Poly, Poly]:
+    """Oracle sum of 1/([i]_q)^s, i = 1..p-1, as (num, den) with both
+    divided by ([p]_q)^k after every step."""
+    m = modulus(p, k)
+    num, den = Poly(), Poly((1,))
+    for i in range(1, p):
+        t_num, t_den = num, den
+        for _ in range(s):
+            t_num, t_den = t_num.times_q_number(i), t_den.times_q_number(i)
+        num, den = (t_num + den).divrem_monic(m)[1], t_den.divrem_monic(m)[1]
+    return num, den

@@ -21,7 +21,13 @@ import child, spans
 tracer = spans.Tracer()
 child.install(tracer)
 assert child.statements.check_power_reduction(5).passed
-assert {'congruence.harmonic', 'congruence.frac_congruent'} <= set(tracer.totals())
+assert child.statements.check_shipan(7).passed
+assert child.statements.check_double_harmonic(7).passed
+totals = tracer.totals()
+assert 'congruence.frac_congruent' in totals
+# one span per q_harmonic_sum / q_double_harmonic call, cache hit or miss:
+# 2 + 2 + (1 + 2 nested)
+assert totals['congruence.harmonic']['calls'] == 7, totals['congruence.harmonic']
 """
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from qcong import congruence
 from qcong.cli import RunConfig, _parse_p_values, main, run_checks
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial
@@ -178,6 +179,18 @@ def test_budget_exceeded_becomes_a_skip(capsys):
     assert code == 0
     assert report["summary"]["skipped"] > 0
     assert report["summary"]["passed"] > 0
+
+
+@pytest.mark.parametrize("p, primes", [("7", 1), ("5..31", 9)])
+def test_harmonic_statements_fill_the_sum_cache_once_per_prime(capsys, p, primes):
+    # shipan (k = 1, 2), double_harmonic (k = 1) and power_reduction (k = 3)
+    # share one build of each prime's sums
+    congruence._harmonic_sums.cache_clear()
+    code = main(["check", "--statements", "shipan,double_harmonic,power_reduction",
+                 "--p", p, "--format", "json"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 3 * primes
+    assert congruence._harmonic_sums.cache_info().misses == primes
 
 
 def test_report_json_round_trip():

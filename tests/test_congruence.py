@@ -5,19 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import q_double_harmonic_full, q_factorial, q_harmonic_full
+from conftest import q_double_harmonic_full, q_factorial, q_harmonic_full, q_harmonic_per_k
 from hypothesis import assume, given, strategies as hst
 
 from qcong import congruence
 from qcong.congruence import (
     CongruenceContext,
     DenominatorNotUnitError,
+    double_from_singles,
     q_double_harmonic,
     q_harmonic_sum,
 )
 from qcong.qanalogs import InternalNonDivisibleError
 from qcong.poly import Poly
-from qcong.qanalogs import NotPrimeError, modulus, q_binomial, q_number
+from qcong.qanalogs import NotPrimeError, is_prime, modulus, q_binomial, q_number
+from qcong.statements import _frac_residue
 
 # Remainder of q_binomial(10, 5) modulo ([5]_q)^3, computed independently
 # (long division of both the Gaussian binomial and 1 + q^25 - 2(q^5-1)^2).
@@ -81,6 +83,28 @@ def test_reduce_matches_monic_division(data):
         coeffs[-1] = 1
     a = Poly(coeffs)
     assert CongruenceContext(p, k).reduce(a) == a.divrem_monic(modulus(p, k))[1]
+
+
+@given(hst.data())
+def test_fold_keeps_the_class_and_the_value_at_one(data):
+    # fold leaves at most kp coefficients, differs from a by a multiple of
+    # (q^p - 1)^k, so reduce cannot tell them apart, and keeps a(1), so the
+    # p | den(1) unit test of a folded denominator is unchanged.
+    p = data.draw(hst.sampled_from((2, 3, 5, 7, 11, 13)), label="p")
+    k = data.draw(hst.integers(1, 5), label="k")
+    length = data.draw(hst.one_of(
+        hst.integers(0, 5 * k * p),
+        hst.sampled_from((k * p - 1, k * p, k * p + 1)),
+    ), label="length")
+    bits = data.draw(hst.integers(0, 200), label="bits")
+    rnd = data.draw(hst.randoms(use_true_random=False))
+    a = Poly(rnd.randint(-(2**bits), 2**bits) for _ in range(length))
+    ctx = CongruenceContext(p, k)
+    folded = ctx.fold(a)
+    assert len(folded.coeffs) < k * p + 1
+    assert ctx.reduce(folded) == ctx.reduce(a)
+    assert folded.eval_at_one() == a.eval_at_one()
+    assert (a - folded).divrem_monic((Poly.monomial(p) - 1) ** k)[1].is_zero()
 
 
 @given(polys)
@@ -297,13 +321,62 @@ def test_double_harmonic_guards_its_halving(monkeypatch):
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_harmonic_sum_takes_no_general_product(monkeypatch, s):
-    # times [i]_q is a prefix sum: the loop must not reach Poly.__mul__
+    # times [i]_q is a prefix sum: the loop must not reach Poly.__mul__, and
+    # one cache fill ends each of its two sums with one reduce of num and den
     ctx = CongruenceContext(31, 3)
     expected = q_harmonic_sum(ctx, s)
 
     def no_mul(self, other):
         raise AssertionError("general polynomial product in the harmonic loop")
 
+    reduces = []
+    reduce = CongruenceContext.reduce
+
+    def counted_reduce(self, a):
+        reduces.append(a)
+        return reduce(self, a)
+
     monkeypatch.setattr(Poly, "__mul__", no_mul)
     monkeypatch.setattr(Poly, "__rmul__", no_mul)
+    monkeypatch.setattr(CongruenceContext, "reduce", counted_reduce)
+    congruence._harmonic_sums.cache_clear()
     assert q_harmonic_sum(ctx, s) == expected
+    assert congruence._harmonic_sums.cache_info().misses == 1
+    assert len(reduces) == 4
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_low_k_pairs_do_not_depend_on_what_was_asked_first(p):
+    def pairs(ks):
+        return {k: [q_harmonic_sum(CongruenceContext(p, k), s) for s in (1, 2)] for k in ks}
+
+    congruence._harmonic_sums.cache_clear()
+    low_first = pairs((1, 2))
+    congruence._harmonic_sums.cache_clear()
+    high_first = pairs((3, 1, 2))
+    assert {k: high_first[k] for k in (1, 2)} == low_first
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
+def test_harmonic_sums_match_the_per_k_loop(p, k):
+    # The cached sums, built once modulo ([p]_q)^max(k,3) with folds, against
+    # a loop that divides by ([p]_q)^k at every step; the Shi-Pan right sides
+    # plus 1 fail, with the same residue from either pair.
+    ctx = CongruenceContext(p, k)
+    singles = [q_harmonic_per_k(p, k, s) for s in (1, 2)]
+    assert [q_harmonic_sum(ctx, s) for s in (1, 2)] == singles
+    double = double_from_singles(ctx, singles[0][0], *singles[1])
+    assert q_double_harmonic(ctx) == double
+    qm1 = Poly([-1, 1])
+    cases = [
+        (q_harmonic_sum(ctx, 1), singles[0],
+         -(p - 1) // 2 * qm1 + (p * p - 1) // 24 * qm1 ** 2 * q_number(p)),
+        (q_harmonic_sum(ctx, 2), singles[1], -((p - 1) * (p - 5) // 12) * qm1 ** 2),
+        (q_double_harmonic(ctx), double, (p - 1) * (p - 2) // 6 * qm1 ** 2),
+    ]
+    for pair, oracle, rhs in cases:
+        r = rhs + 1
+        residue = _frac_residue(ctx, *pair, r)
+        assert not residue.is_zero()
+        assert residue == ctx.reduce(oracle[0] - r * oracle[1])

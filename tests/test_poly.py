@@ -62,6 +62,21 @@ def test_degree_is_a_sentinel_for_zero():
         Poly().degree < 1  # noqa: B015 - the comparison itself must fail
 
 
+@given(coeff_lists, hst.integers(0, 3))
+def test_constructor_trims_every_input_form(cs, zeros):
+    padded = cs + [0] * zeros
+    trimmed = list(padded)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    for form in (padded, tuple(padded), iter(padded)):
+        coeffs = Poly(form).coeffs
+        assert type(coeffs) is tuple
+        assert coeffs == tuple(trimmed)
+    # an already-trimmed tuple is kept, not copied
+    kept = tuple(trimmed)
+    assert Poly(kept).coeffs is kept
+
+
 def test_monomial_rejects_negative_exponent():
     with pytest.raises(ValueError):
         Poly.monomial(-1)
