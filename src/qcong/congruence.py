@@ -14,9 +14,10 @@ A fraction is a plain (N, D) pair, and any representatives modulo M serve:
 M(1) = p^k, so reducing D leaves D(1) mod p, and hence the unit test, as it
 was.  The q-harmonic sums are built that way, never over the full
 ([p-1]_q!)^s: once per prime, modulo ([p]_q)^max(k,3), folded modulo the
-sparse (q^p - 1)^max(k,3) at each step and reduced once at the end.  A
-caller with k < 3 gets that pair reduced modulo its own M, which is the
-same pair, since reduce is canonical and ([p]_q)^k divides ([p]_q)^3.
+sparse (q^p - 1)^max(k,3) at each step and reduced once at the end; the
+double sum is cached beside them.  A caller with k < 3 gets the cached pair
+reduced modulo its own M, which is the same pair, since reduce is canonical
+and ([p]_q)^k divides ([p]_q)^3; so one reduce also serves valuation.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
 
 from .poly import Poly
-from .qanalogs import InternalNonDivisibleError, modulus
+from .qanalogs import InternalNonDivisibleError, modulus, q_number
 
 
 class DenominatorNotUnitError(ValueError):
@@ -76,6 +78,16 @@ class CongruenceContext:
         """
         return self.fold(a).divrem_monic(self.modulus)[1]
 
+    def valuation(self, f: Poly) -> int:
+        """The largest j <= k such that ([p]_q)^j divides f in Z[q]: f is reduced
+        modulo ([p]_q)^k once, then divided by [p]_q until a remainder is nonzero."""
+        r = self.reduce(f)
+        for j in range(self.k):
+            r, rem = r.divrem_monic(q_number(self.p))
+            if rem:
+                return j
+        return self.k
+
     def congruent(self, a: Poly, b: Poly) -> bool:
         """True iff ([p]_q)^k divides a - b in Z[q]."""
         return self.reduce(a - b).is_zero()
@@ -103,18 +115,29 @@ def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
     reduced modulo ctx's ([p]_q)^k.
 
     den is ([p-1]_q!)^s and num sums the cofactors ([p-1]_q!)^s / ([i]_q)^s,
-    so the pair is the full-size one reduced.  Both s are built once per
-    prime, modulo ([p]_q)^max(k,3) (_harmonic_sums); for k < 3 that pair is
-    reduced again, which gives the same pair as building it modulo ctx's M.
+    so the pair is the full-size one reduced.
     """
     if s not in (1, 2):
         raise ValueError(f"harmonic power must be 1 or 2, got {s}")
+    return _look_up(ctx, lambda p, k: _harmonic_sums(p, k)[s - 1])
+
+
+def q_double_harmonic(ctx: CongruenceContext) -> tuple[Poly, Poly]:
+    """The sum of 1/([i]_q [j]_q) over 1 <= i < j <= p-1 as a pair
+    (num, den), both reduced modulo ctx's ([p]_q)^k; den is that of the
+    single sum with s = 2, a representative of ([p-1]_q!)^2.
+    """
+    return _look_up(ctx, _double_harmonic)
+
+
+def _look_up(ctx: CongruenceContext, fill: Callable) -> tuple[Poly, Poly]:
+    """fill's pair, cached per (p, max(k, 3)), reduced again when k < 3: the
+    same pair as one built modulo ctx's M, since reduce is canonical and
+    ([p]_q)^k divides ([p]_q)^3."""
     if ctx.p < 3:
-        raise ValueError(f"q_harmonic_sum needs a prime p >= 3, got {ctx.p}")
-    num, den = _harmonic_sums(ctx.p, max(ctx.k, 3))[s - 1]
-    if ctx.k < 3:
-        return ctx.reduce(num), ctx.reduce(den)
-    return num, den
+        raise ValueError(f"q-harmonic sums need a prime p >= 3, got {ctx.p}")
+    num, den = fill(ctx.p, max(ctx.k, 3))
+    return (ctx.reduce(num), ctx.reduce(den)) if ctx.k < 3 else (num, den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,22 +160,13 @@ def _harmonic_sums(p: int, k: int) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]
     return pairs[0], pairs[1]
 
 
-def q_double_harmonic(ctx: CongruenceContext) -> tuple[Poly, Poly]:
-    """The sum of 1/([i]_q [j]_q) over 1 <= i < j <= p-1 as a pair
-    (num, den), both reduced modulo ctx's ([p]_q)^k; den is that of the
-    single sum with s = 2, a representative of ([p-1]_q!)^2.
-
-    Built from the single sums as ((sum x_i)^2 - sum x_i^2) / 2 with
-    x_i = 1/[i]_q.  Before reduction the halving is exact; reduce is
-    Z-linear, so it stays exact coefficient-wise after it.
-    """
-    return double_from_singles(ctx, q_harmonic_sum(ctx, 1)[0], *q_harmonic_sum(ctx, 2))
-
-
-def double_from_singles(ctx: CongruenceContext, num1: Poly, num2: Poly,
-                        den2: Poly) -> tuple[Poly, Poly]:
-    """q_double_harmonic from the single sums' num1 (s = 1) and num2, den2 (s = 2)."""
-    twice = ctx.reduce(num1 * num1 - num2)
+@functools.lru_cache(maxsize=None)
+def _double_harmonic(p: int, k: int) -> tuple[Poly, Poly]:
+    """q_double_harmonic's pair modulo ([p]_q)^k: ((sum x_i)^2 - sum x_i^2) / 2
+    with x_i = 1/[i]_q, over the s = 2 denominator, from _harmonic_sums(p, k).
+    The halving is exact before reduction, and reduce is Z-linear."""
+    (num1, _), (num2, den2) = _harmonic_sums(p, k)
+    twice = CongruenceContext(p, k).reduce(num1 * num1 - num2)
     if any(c % 2 for c in twice.coeffs):
-        raise InternalNonDivisibleError(f"q_double_harmonic at p={ctx.p}: odd coefficient")
+        raise InternalNonDivisibleError(f"q_double_harmonic at p={p}: odd coefficient")
     return Poly(c // 2 for c in twice.coeffs), den2

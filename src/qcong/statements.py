@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Literal
 
-from .congruence import (CongruenceContext, double_from_singles, q_double_harmonic,
-                         q_harmonic_sum)
+from .congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from .poly import Poly
 from .qanalogs import is_prime, q_binomial, q_number
 
@@ -108,14 +107,15 @@ def _two_power(p: int) -> Poly:
     return q_number(2).substitute_power(p * p)
 
 
+def _binomial_gap(p: int, a: int, b: int, correction: Poly | int) -> Poly:
+    """C_q(ap, bp) - C_{q^(p^2)}(a, b) - correction, unreduced."""
+    return q_binomial(a * p, b * p) - q_binomial(a, b).substitute_power(p * p) - correction
+
+
 def _ljunggren_gap(p: int, a: int, b: int) -> Poly:
     """Left side minus right side of check_q_ljunggren's congruence, unreduced."""
     corr = binom(a, b + 1) * binom(b + 1, 2) * _exact_scalar(p * p - 1, 12)
-    return (
-        q_binomial(a * p, b * p)
-        - q_binomial(a, b).substitute_power(p * p)
-        + corr * _qp_minus_one(p) ** 2
-    )
+    return _binomial_gap(p, a, b, -corr * _qp_minus_one(p) ** 2)
 
 
 def check_qchu(m: int, n: int, k: int) -> CheckResult:
@@ -186,10 +186,7 @@ def check_clark(p: int, a: int, b: int, k: int = 2) -> CheckResult:
     """Clark's congruence: C_q(ap, bp) = C_{q^(p^2)}(a, b) mod ([p]_q)^2."""
     _require_prime(p, "clark")
     _require(0 <= b <= a, f"clark needs 0 <= b <= a, got a={a}, b={b}")
-    ctx = CongruenceContext(p, k)
-    lhs = q_binomial(a * p, b * p)
-    rhs = q_binomial(a, b).substitute_power(p * p)
-    diff = ctx.reduce(lhs - rhs)
+    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, 0))
     return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
@@ -217,13 +214,9 @@ def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
     """
     _require_prime(p, "cong2", minimum=5)
     _require(0 <= b <= a, f"cong2 needs 0 <= b <= a, got a={a}, b={b}")
-    ctx = CongruenceContext(p, k)
     scale = binom(a, b + 1) * binom(b + 1, 2)
-    lhs = q_binomial(a * p, b * p)
-    rhs = q_binomial(a, b).substitute_power(p * p) + scale * (
-        q_binomial(2 * p, p) - _two_power(p)
-    )
-    diff = ctx.reduce(lhs - rhs)
+    correction = scale * (q_binomial(2 * p, p) - _two_power(p))
+    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, correction))
     return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
@@ -287,13 +280,13 @@ def check_power_reduction(p: int) -> CheckResult:
     (ii)  C_q(2p, p)  = 2 + p(q^p - 1) + ((p-1)(5p-1)/12)(q^p - 1)^2;
     (iii) 1 + q^(p^2) = 2 + p(q^p - 1) + ((p-1)p/2)(q^p - 1)^2.
 
-    (i) is cleared over dh_den = h1_den^2 modulo M, each single sum built once.
+    (i) is cleared over dh_den, a representative of h1_den^2 modulo M.
     """
     _require_prime(p, "power_reduction", minimum=5)
     ctx = CongruenceContext(p, 3)
     central = q_binomial(2 * p, p)
     h1_num, h1_den = q_harmonic_sum(ctx, 1)
-    dh_num, dh_den = double_from_singles(ctx, h1_num, *q_harmonic_sum(ctx, 2))
+    dh_num, dh_den = q_double_harmonic(ctx)
     num = (
         dh_den.shift(p * (p - 1))
         + (h1_num * h1_den).times_q_number(p).shift(p * (p - 2))
@@ -349,29 +342,19 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
         a*b*(a-b)*binom(a, b) = 2a * binom(a, b+1) * binom(b+1, 2).
 
     The residue is binom(ap, bp) - binom(a, b) mod p^(3+r), or the
-    identity's gap when that is zero.  ``q_exponent`` in the params is exploratory data: the
-    largest k <= 5 for which the corrected q-congruence of
-    check_q_ljunggren still holds modulo ([p]_q)^k.
+    identity's gap when that is zero.  ``q_exponent`` in the params is the
+    q-side of that sharpening, as exploratory data: the largest k <= 5 for
+    which check_q_ljunggren's corrected congruence holds modulo ([p]_q)^k.
     """
     _require_prime(p, "jacobsthal", minimum=5)
     _require(0 < b < a, f"jacobsthal needs 0 < b < a, got a={a}, b={b}")
     value = a * b * (a - b) * binom(a, b)
     r = 0
-    v = value
-    while v % p == 0:
-        v //= p
+    while value % p ** (r + 1) == 0:
         r += 1
     residue = (binom(a * p, b * p) - binom(a, b)) % p ** (3 + r)
     identity_gap = value - 2 * a * binom(a, b + 1) * binom(b + 1, 2)
-
-    # reduce is canonical and ([p]_q)^k divides ([p]_q)^5, so the gap's
-    # remainder modulo ([p]_q)^5 decides every k <= 5
-    gap = CongruenceContext(p, 5).reduce(_ljunggren_gap(p, a, b))
-    q_exponent = 0
-    for k in range(1, 6):
-        if not CongruenceContext(p, k).reduce(gap).is_zero():
-            break
-        q_exponent = k
+    q_exponent = CongruenceContext(p, 5).valuation(_ljunggren_gap(p, a, b))
     return CheckResult(
         {"p": p, "a": a, "b": b, "r": r, "q_exponent": q_exponent},
         Poly((residue or identity_gap,)),

@@ -17,7 +17,11 @@ sums reduced modulo ([p]_q)^k and builds the double sum from the single
 ones, so neither shortcut is shared with the oracle.  The per-k oracle is
 the direct loop the package's cache replaced: one sum for each (p, k, s),
 reduced at every step by plain monic division by ([p]_q)^k, with no fold
-modulo (q^p - 1)^k; it stays cheap up to p = 61.
+modulo (q^p - 1)^k; it stays cheap up to p = 61.  Its double sum halves
+((sum 1/[i])^2 - sum 1/[i]^2) built from those per-k single sums.
+
+The valuation oracle tries each exponent in turn: the largest j <= cap for
+which plain monic division of f by ([p]_q)^j leaves no remainder.
 """
 
 from __future__ import annotations
@@ -122,3 +126,18 @@ def q_harmonic_per_k(p: int, k: int, s: int) -> tuple[Poly, Poly]:
             t_num, t_den = t_num.times_q_number(i), t_den.times_q_number(i)
         num, den = (t_num + den).divrem_monic(m)[1], t_den.divrem_monic(m)[1]
     return num, den
+
+
+def q_double_harmonic_per_k(p: int, k: int) -> tuple[Poly, Poly]:
+    """Oracle sum of 1/([i]_q [j]_q), i < j, as (num, den) from the per-k
+    single sums: num halves (num1^2 - num2) divided by ([p]_q)^k."""
+    (num1, _), (num2, den2) = (q_harmonic_per_k(p, k, s) for s in (1, 2))
+    twice = (num1 * num1 - num2).divrem_monic(modulus(p, k))[1]
+    assert all(c % 2 == 0 for c in twice.coeffs)
+    return Poly([c // 2 for c in twice.coeffs]), den2
+
+
+def valuation_per_k(p: int, cap: int, f: Poly) -> int:
+    """Oracle: the largest j <= cap such that ([p]_q)^j divides f."""
+    divides = [not f.divrem_monic(modulus(p, j))[1] for j in range(1, cap + 1)]
+    return next((j for j, d in enumerate(divides) if not d), cap)

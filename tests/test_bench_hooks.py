@@ -25,9 +25,9 @@ assert child.statements.check_shipan(7).passed
 assert child.statements.check_double_harmonic(7).passed
 totals = tracer.totals()
 assert 'congruence.frac_congruent' in totals
-# one span per q_harmonic_sum / q_double_harmonic call, cache hit or miss:
-# 2 + 2 + (1 + 2 nested)
-assert totals['congruence.harmonic']['calls'] == 7, totals['congruence.harmonic']
+# one span per q_harmonic_sum / q_double_harmonic call, cache hit or miss,
+# none nested: 2 + 2 + 1
+assert totals['congruence.harmonic']['calls'] == 5, totals['congruence.harmonic']
 """
 
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import q_double_harmonic_full, q_factorial, q_harmonic_full, q_harmonic_per_k
+from conftest import (q_double_harmonic_full, q_double_harmonic_per_k, q_factorial,
+                      q_harmonic_full, q_harmonic_per_k, valuation_per_k)
 from hypothesis import assume, given, strategies as hst
 
 from qcong import congruence
 from qcong.congruence import (
     CongruenceContext,
     DenominatorNotUnitError,
-    double_from_singles,
     q_double_harmonic,
     q_harmonic_sum,
 )
@@ -312,9 +312,10 @@ def test_reduced_harmonic_residues_match_full_oracle_on_failure(p, k):
 
 def test_double_harmonic_guards_its_halving(monkeypatch):
     # sums whose h1^2 - h2 has an odd coefficient cannot be halved exactly
-    monkeypatch.setattr(
-        congruence, "q_harmonic_sum", lambda ctx, s: (Poly([1, 1]), Poly([1]))
-    )
+    odd = (Poly([1, 1]), Poly([1]))
+    congruence._harmonic_sums.cache_clear()
+    congruence._double_harmonic.cache_clear()
+    monkeypatch.setattr(congruence, "_harmonic_sums", lambda p, k: (odd, odd))
     with pytest.raises(InternalNonDivisibleError):
         q_double_harmonic(CongruenceContext(5, 2))
 
@@ -366,7 +367,7 @@ def test_harmonic_sums_match_the_per_k_loop(p, k):
     ctx = CongruenceContext(p, k)
     singles = [q_harmonic_per_k(p, k, s) for s in (1, 2)]
     assert [q_harmonic_sum(ctx, s) for s in (1, 2)] == singles
-    double = double_from_singles(ctx, singles[0][0], *singles[1])
+    double = q_double_harmonic_per_k(p, k)
     assert q_double_harmonic(ctx) == double
     qm1 = Poly([-1, 1])
     cases = [
@@ -380,3 +381,30 @@ def test_harmonic_sums_match_the_per_k_loop(p, k):
         residue = _frac_residue(ctx, *pair, r)
         assert not residue.is_zero()
         assert residue == ctx.reduce(oracle[0] - r * oracle[1])
+
+
+@given(
+    p=hst.sampled_from([2, 3, 5, 7, 11, 13]),
+    cap=hst.integers(1, 5),
+    j=hst.integers(0, 7),
+    cofactor=hst.one_of(hst.none(), polys),
+)
+def test_valuation_matches_the_per_k_loop(p, cap, j, cofactor):
+    # f = [p]_q^j * u, u random (zero included) or, for None, the constant p,
+    # a non-unit that [p]_q does not divide; for a unit u the valuation is
+    # exactly min(j, cap)
+    u = Poly([p]) if cofactor is None else cofactor
+    f = modulus(p, j) * u if j else u
+    v = CongruenceContext(p, cap).valuation(f)
+    assert v == valuation_per_k(p, cap, f)
+    if u.eval_at_one() % p:
+        assert v == min(j, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_valuation_edge_cases(p):
+    ctx = CongruenceContext(p, 4)
+    assert ctx.valuation(Poly()) == 4
+    assert ctx.valuation(Poly([p])) == 0
+    assert ctx.valuation(modulus(p, 2) * p) == 2
+    assert ctx.valuation(modulus(p, 9)) == 4

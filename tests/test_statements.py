@@ -10,7 +10,7 @@ from conftest import list_add, list_mul, list_shift, qbinom_pascal
 import qcong.statements as statements
 from qcong.congruence import CongruenceContext
 from qcong.poly import Poly
-from qcong.qanalogs import q_binomial, q_number
+from qcong.qanalogs import modulus, q_binomial, q_number
 from qcong.statements import (
     STATEMENT_IDS,
     BudgetExceededError,
@@ -363,6 +363,29 @@ def test_jacobsthal_q_exponent_is_at_least_three():
         res = check_jacobsthal(p, a, b)
         assert isinstance(res, CheckResult) and res.witness is None
         assert 3 <= res.params["q_exponent"] <= 5
+
+
+@pytest.mark.parametrize("j", [3, 4, 5, 6])
+@pytest.mark.parametrize("p", [5, 7])
+def test_jacobsthal_q_exponent_is_the_gap_valuation_capped_at_five(monkeypatch, p, j):
+    # the real gaps all have valuation 3 on the catalog's grid, so feed gaps
+    # of known valuation: ([p]_q)^j times the unit q + 2
+    monkeypatch.setattr(statements, "_ljunggren_gap",
+                        lambda p, a, b: modulus(p, j) * Poly([2, 1]))
+    assert check_jacobsthal(p, 2, 1).params["q_exponent"] == min(j, 5)
+
+
+def test_jacobsthal_reduces_its_gap_once(monkeypatch):
+    calls = []
+    reduce = CongruenceContext.reduce
+
+    def counted_reduce(self, a):
+        calls.append(self.k)
+        return reduce(self, a)
+
+    monkeypatch.setattr(CongruenceContext, "reduce", counted_reduce)
+    assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
+    assert calls == [5]
 
 
 def test_jacobsthal_validation():
