@@ -14,8 +14,9 @@ per part in its params, and the residue of its first failing part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Literal
+from functools import partial
+from math import comb, factorial
+from typing import Callable, Iterable, Literal
 
 from .congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from .poly import Poly
@@ -26,7 +27,8 @@ class PrecondViolationError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A composition enumeration would exceed the configured budget."""
+    """An expansion instance stands for more bounded compositions, (p+1)^a, than
+    the budget allows; its Chu steps enumerate none, so this is a size guard."""
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,23 @@ def _ljunggren_gap(p: int, a: int, b: int) -> Poly:
     return _binomial_gap(p, a, b, -corr * _qp_minus_one(p) ** 2)
 
 
+def _chu_sum(m: int, n: int, k: int, right: Callable[[int], Poly],
+             js: Iterable[int] | None = None) -> Poly:
+    """Sum over j in js of C_q(m, j) right(k-j) q^(j(n-k+j)), as exact Poly products;
+    js defaults to every j with 0 <= j <= m and 0 <= k-j <= n.  With right =
+    C_q(n, .) over that default the sum is C_q(m+n, k), the q-Chu-Vandermonde sum."""
+    js = range(max(0, k - n), min(m, k) + 1) if js is None else js
+    return sum(((q_binomial(m, j) * right(k - j)).shift(j * (n - k + j)) for j in js), Poly())
+
+
 def check_qchu(m: int, n: int, k: int) -> CheckResult:
     """q-analog of the Chu-Vandermonde convolution, as an exact identity:
 
         C_q(m+n, k) = sum_j C_q(m, j) C_q(n, k-j) q^(j(n-k+j)).
     """
     _require(m >= 0 and n >= 0 and k >= 0, "qchu needs nonnegative m, n, k")
-    lhs = q_binomial(m + n, k)
-    rhs = Poly()
-    for j in range(max(0, k - n), min(m, k) + 1):
-        rhs = rhs + (q_binomial(m, j) * q_binomial(n, k - j)).shift(j * (n - k + j))
-    return CheckResult({"m": m, "n": n, "k": k}, lhs - rhs)
+    rhs = _chu_sum(m, n, k, partial(q_binomial, n))
+    return CheckResult({"m": m, "n": n, "k": k}, q_binomial(m + n, k) - rhs)
 
 
 def check_expansion_identity(
@@ -139,10 +147,10 @@ def check_expansion_identity(
         C_q(ap, bp) = sum over c_1+...+c_a = bp, 0 <= c_i <= p, of
             prod_i C_q(p, c_i) * q^(p*sum (i-1)c_i - sum_{i<j} c_i c_j).
 
-    The sum is evaluated exactly as Poly products, one part at a time, with
-    the compositions that share a prefix sum s collected into one
-    polynomial; this leaves the enumerated sum unchanged, and the budget
-    still caps the conceptual (p+1)^a composition space.
+    The right side enumerates no composition: one Chu step per part takes
+    the sums f_s over c_1+...+c_i = s to the prefix sums t that can still
+    reach bp, f'_t = sum_c C_q(p, c) f_(t-c) q^(c(ip-t+c)).  The budget
+    caps the (p+1)^a compositions that the right side stands for.
     """
     _require_prime(p, "expansion")
     _require(0 <= b <= a, f"expansion needs 0 <= b <= a, got a={a}, b={b}")
@@ -151,19 +159,12 @@ def check_expansion_identity(
             f"(p+1)^a = {(p + 1) ** a} exceeds the enumeration budget {budget}"
         )
     target = b * p
-    # layer maps each feasible prefix sum s = c_1 + ... + c_i to the sum of
-    # the prefix products; c_(i+1) keeps the rest of the target reachable.
     layer = {0: Poly((1,))}
     for i in range(a):
-        nxt: dict[int, Poly] = {}
-        for s, f in layer.items():
-            for c in range(max(0, target - s - (a - 1 - i) * p), min(p, target - s) + 1):
-                term = (q_binomial(p, c) * f).shift(c * (p * i - s))
-                nxt[s + c] = nxt.get(s + c, Poly()) + term
-        layer = nxt
-    rhs = layer.get(target, Poly())
-    lhs = q_binomial(a * p, b * p)
-    return CheckResult({"p": p, "a": a, "b": b}, lhs - rhs)
+        reachable = range(max(0, target - (a - 1 - i) * p), min(target, (i + 1) * p) + 1)
+        # for each such t, _chu_sum's default j range reads exactly the keys of layer
+        layer = {t: _chu_sum(p, i * p, t, layer.__getitem__) for t in reachable}
+    return CheckResult({"p": p, "a": a, "b": b}, q_binomial(a * p, b * p) - layer[target])
 
 
 def check_convolution_identity(p: int) -> CheckResult:
@@ -172,12 +173,11 @@ def check_convolution_identity(p: int) -> CheckResult:
         sum_{d=1..p-1} C_q(p, d) C_q(p, p-d) q^(d^2)
             = C_q(2p, p) - (1 + q^(p^2)),
 
-    exact for every prime p >= 2.
+    exact for every prime p >= 2: check_qchu at m = n = k = p without the
+    d = 0 and d = p terms.
     """
     _require_prime(p, "convolution")
-    lhs = Poly()
-    for d in range(1, p):
-        lhs = lhs + (q_binomial(p, d) * q_binomial(p, p - d)).shift(d * d)
+    lhs = _chu_sum(p, p, p, partial(q_binomial, p), range(1, p))
     rhs = q_binomial(2 * p, p) - _two_power(p)
     return CheckResult({"p": p}, lhs - rhs)
 
@@ -320,9 +320,7 @@ def check_classical(p: int, a: int, b: int) -> CheckResult:
     _require(0 <= b <= a, f"classical needs 0 <= b <= a, got a={a}, b={b}")
     binom_res = (binom(a * p, b * p) - binom(a, b)) % p ** 3
 
-    fact = 1
-    for i in range(2, p):
-        fact *= i
+    fact = factorial(p - 1)
     h1 = sum(fact // i for i in range(1, p)) % p ** 2
     h2 = sum((fact * fact) // (i * i) for i in range(1, p)) % p
 

@@ -20,6 +20,11 @@ reduced at every step by plain monic division by ([p]_q)^k, with no fold
 modulo (q^p - 1)^k; it stays cheap up to p = 61.  Its double sum halves
 ((sum 1/[i])^2 - sum 1/[i]^2) built from those per-k single sums.
 
+The expansion oracle enumerates every composition c_1+...+c_a = bp with
+0 <= c_i <= p and adds up prod C_q(p, c_i) q^(p*sum (i-1)c_i - sum_{i<j} c_i c_j)
+from Pascal lists, one term per composition; the package instead runs one
+q-Chu-Vandermonde step per part over prefix sums.
+
 The valuation oracle tries each exponent in turn: the largest j <= cap for
 which plain monic division of f by ([p]_q)^j leaves no remainder.
 """
@@ -27,6 +32,7 @@ which plain monic division of f by ([p]_q)^j leaves no remainder.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 from qcong.poly import Poly
@@ -72,6 +78,21 @@ def qbinom_pascal(n: int, k: int) -> list[int]:
     if k < 0 or k > n:
         return []
     return list(qbinom_pascal_triangle(n)[(n, k)])
+
+
+def expansion_sum(p: int, a: int, b: int) -> list[int]:
+    """Oracle right side of the multinomial expansion of C_q(ap, bp)."""
+    total: list[int] = []
+    for cs in product(range(p + 1), repeat=a):
+        if sum(cs) != b * p:
+            continue
+        term = [1]
+        for c in cs:
+            term = list_mul(term, qbinom_pascal(p, c))
+        e = p * sum(i * c for i, c in enumerate(cs))
+        e -= sum(cs[i] * cs[j] for j in range(a) for i in range(j))
+        total = list_add(total, list_shift(term, e))
+    return total
 
 
 def q_product(indices: Iterable[int], s: int = 1) -> list[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import list_add, list_mul, list_shift, qbinom_pascal
+from conftest import expansion_sum, list_add, list_mul, list_shift, qbinom_pascal
 
 import qcong.statements as statements
 from qcong.congruence import CongruenceContext
@@ -86,6 +86,30 @@ def test_qchu_sweep():
                 assert check_qchu(m, n, k).passed, (m, n, k)
 
 
+def _fake_binomial(monkeypatch, n0: int, k0: int):
+    """Route the checks' q_binomial through C_q(n0, k0) + 1 and return the
+    Pascal oracle faked the same way, as a coefficient-list function."""
+    real = statements.q_binomial
+
+    def bump(n: int, k: int) -> int:
+        return int((n, k) == (n0, k0))
+
+    monkeypatch.setattr(statements, "q_binomial", lambda n, k: real(n, k) + bump(n, k))
+    return lambda n, k: list_add(qbinom_pascal(n, k), [bump(n, k)])
+
+
+def test_qchu_fails_with_the_exact_residue_of_a_faked_factor(monkeypatch):
+    fake = _fake_binomial(monkeypatch, 2, 1)
+    m, n, k = 2, 3, 2
+    rhs: list[int] = []
+    for j in range(k + 1):
+        term = list_mul(fake(m, j), fake(n, k - j))
+        rhs = list_add(rhs, list_shift(term, j * (n - k + j)))
+    res = check_qchu(m, n, k)
+    assert not res.passed
+    assert res.residue == Poly(qbinom_pascal(5, 2)) - Poly(rhs)
+
+
 def test_qchu_rejects_negative_arguments():
     with pytest.raises(PrecondViolationError):
         check_qchu(-1, 2, 1)
@@ -115,6 +139,18 @@ def test_expansion_identity_preconditions():
         check_expansion_identity(5, 2, 3)
 
 
+@pytest.mark.parametrize("p, a", [(p, a) for p in (2, 3, 5) for a in (2, 3, 4)])
+def test_expansion_right_side_matches_the_composition_oracle(monkeypatch, p, a):
+    # Only C_q(ap, bp) reads as zero (a >= 2 leaves every factor C_q(p, c)
+    # genuine), so the residue is minus the check's right side.
+    real = statements.q_binomial
+    monkeypatch.setattr(statements, "q_binomial",
+                        lambda n, k: Poly() if n == a * p else real(n, k))
+    for b in range(a + 1):
+        res = check_expansion_identity(p, a, b)
+        assert -res.residue == Poly(expansion_sum(p, a, b)), b
+
+
 def test_convolution_identity_p2_by_hand():
     # left side (1+q)^2 q, right side C_q(4,2) - (1+q^4) = q + 2q^2 + q^3
     assert q_binomial(2, 1) ** 2 * Poly.monomial(1) == Poly([0, 1, 2, 1])
@@ -125,6 +161,18 @@ def test_convolution_identity_p2_by_hand():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_convolution_identity(p):
     assert check_convolution_identity(p).passed
+
+
+@pytest.mark.parametrize("p, d0", [(2, 1), (3, 1), (5, 2)])
+def test_convolution_fails_with_the_exact_residue_of_a_faked_factor(monkeypatch, p, d0):
+    fake = _fake_binomial(monkeypatch, p, d0)
+    lhs: list[int] = []
+    for d in range(1, p):
+        lhs = list_add(lhs, list_shift(list_mul(fake(p, d), fake(p, p - d)), d * d))
+    res = check_convolution_identity(p)
+    assert not res.passed
+    expected = Poly(lhs) - (Poly(qbinom_pascal(2 * p, p)) - 1 - Poly.monomial(p * p))
+    assert res.residue == expected
 
 
 # --- congruences ------------------------------------------------------------
