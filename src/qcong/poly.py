@@ -52,12 +52,21 @@ class Poly:
             return self
         return Poly((0,) * e + self.coeffs)
 
-    def times_q_number(self, m: int) -> Poly:
-        """Return self * [m]_q, for m >= 0, as the prefix sums of self - q^m self."""
-        if m < 0:
-            raise ValueError(f"q-number must be nonnegative, got {m}")
+    def times_q_number(self, m: int, over: int = 1) -> Poly:
+        """Return self * [m]_q / [over]_q, for m >= 0 and over >= 1: the stride-over
+        prefix sums of self - q^m self, i.e. its quotient by 1 - q^over, which is
+        exact (always so for over = 1) iff the last over sums vanish; else
+        NotDivisibleError.  No polynomial multiplication is made."""
+        if m < 0 or over < 1:
+            raise ValueError(f"need m >= 0 and over >= 1, got m={m}, over={over}")
         pad = (0,) * m
-        return Poly(accumulate(map(sub, self.coeffs + pad, pad + self.coeffs)))
+        acc = list(map(sub, self.coeffs + pad, pad + self.coeffs))
+        for r in range(over):
+            acc[r::over] = accumulate(acc[r::over])
+        if any(acc[-over:]):
+            raise NotDivisibleError(f"{self} * [{m}]_q is not divisible by [{over}]_q")
+        del acc[-over:]
+        return Poly(acc)
 
     @property
     def degree(self) -> int | None:

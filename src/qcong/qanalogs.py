@@ -9,7 +9,6 @@ what makes ([p]_q)^k the natural polynomial analog of the prime power p^k.
 from __future__ import annotations
 
 from functools import lru_cache, reduce as fold
-from itertools import accumulate
 
 from .poly import Poly
 
@@ -53,25 +52,15 @@ def q_binomial(n: int, k: int) -> Poly:
 
     Out-of-range k (k < 0 or k > n) yields the zero polynomial, matching
     the convention for unrestricted summation indices.  Built as the product
-    of (1 - q^(n-k+i)) / (1 - q^i), i = 1..k, without polynomial products:
-    times 1 - q^m is a shifted subtraction, over 1 - q^i is stride-i prefix
-    sums, exact (the last i sums vanish) as each partial product is C_q(m, i).
+    of [n-k+i]_q / [i]_q, i = 1..k, one Poly.times_q_number step each; every
+    step divides exactly, because the partial product up to i is C_q(n-k+i, i).
     """
     if n < 0:
         raise ValueError(f"q_binomial needs n >= 0, got {n}")
     if k < 0 or k > n:
         return Poly()
     k = min(k, n - k)
-    acc = [1]
-    for i in range(1, k + 1):
-        m = n - k + i
-        acc = [a - b for a, b in zip(acc + [0] * m, [0] * m + acc)]
-        for r in range(i):
-            acc[r::i] = accumulate(acc[r::i])
-        if any(acc[-i:]):
-            raise InternalNonDivisibleError(f"q_binomial({n}, {k}): inexact division step")
-        del acc[-i:]
-    return Poly(acc)
+    return fold(lambda f, i: f.times_q_number(n - k + i, i), range(1, k + 1), Poly((1,)))
 
 
 def modulus(p: int, k: int) -> Poly:

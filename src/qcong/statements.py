@@ -96,8 +96,7 @@ def _parts(params: dict[str, int], **residues: Poly) -> CheckResult:
 
 def _frac_residue(ctx: CongruenceContext, num: Poly, den: Poly, r: Poly) -> Poly:
     """Zero when num/den = r modulo ctx's M, else num - r * den reduced."""
-    r = ctx.reduce(r)
-    return Poly() if ctx.frac_congruent(num, den, r) else ctx.reduce(num - r * den)
+    return Poly() if ctx.frac_congruent(num, den, r) else ctx.reduce(num - ctx.reduce(r) * den)
 
 
 def _qp_minus_one(p: int) -> Poly:

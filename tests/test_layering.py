@@ -1,0 +1,28 @@
+"""The stride prefix sums live in one kernel, Poly.times_q_number."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcong"
+
+
+def _uses_accumulate(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name in ("accumulate", "*") for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "accumulate":
+            if isinstance(node.value, ast.Name) and node.value.id == "itertools":
+                return True
+    return False
+
+
+def test_only_poly_takes_prefix_sums():
+    users = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _uses_accumulate(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert users == ["poly.py"]

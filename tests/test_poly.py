@@ -114,6 +114,34 @@ def test_times_q_number_edge_cases():
         Poly([1]).times_q_number(-1)
 
 
+@given(small_polys, hst.integers(0, 12), hst.integers(1, 6))
+def test_times_q_number_over_matches_monic_division(f, m, over):
+    quot, rem = (f * q_number(m)).divrem_monic(q_number(over))
+    if rem:
+        with pytest.raises(NotDivisibleError):
+            f.times_q_number(m, over)
+    else:
+        assert f.times_q_number(m, over) == quot
+
+
+@given(small_polys, hst.integers(0, 12), hst.integers(1, 6))
+def test_times_q_number_over_divides_a_multiple_of_over(g, m, over):
+    assert (g * q_number(over)).times_q_number(m, over) == g * q_number(m)
+
+
+def test_times_q_number_over_edge_cases():
+    # over beyond deg f + m + 1: only a zero product divides
+    assert Poly().times_q_number(2, 9) == Poly()
+    assert Poly([1, 2]).times_q_number(0, 9) == Poly()
+    with pytest.raises(NotDivisibleError):
+        Poly([1, 2]).times_q_number(2, 9)
+    assert Poly([3, -1, 4]).times_q_number(0, 4) == Poly()
+    with pytest.raises(ValueError):
+        Poly([1]).times_q_number(2, 0)
+    with pytest.raises(ValueError):
+        Poly([1]).times_q_number(-1, 2)
+
+
 def test_divrem_monic_exact_factor():
     quot, rem = Poly([-1, 0, 1]).divrem_monic(Poly([-1, 1]))
     assert quot == Poly([1, 1])

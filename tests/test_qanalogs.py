@@ -8,10 +8,9 @@ import pytest
 from conftest import q_factorial, q_product, qbinom_pascal, qbinom_pascal_triangle
 from hypothesis import given, strategies as hst
 
-from qcong import qanalogs
-from qcong.poly import Poly
+from qcong import poly
+from qcong.poly import NotDivisibleError, Poly
 from qcong.qanalogs import (
-    InternalNonDivisibleError,
     NotPrimeError,
     is_prime,
     modulus,
@@ -60,10 +59,10 @@ def test_q_binomial_matches_pascal_oracle_up_to_70(nk):
 
 def test_q_binomial_guards_its_exact_divisions(monkeypatch):
     # without the prefix sums the division by 1 - q^i leaves a nonzero tail
-    monkeypatch.setattr(qanalogs, "accumulate", list)
+    monkeypatch.setattr(poly, "accumulate", list)
     q_binomial.cache_clear()
     try:
-        with pytest.raises(InternalNonDivisibleError):
+        with pytest.raises(NotDivisibleError):
             q_binomial(6, 3)
     finally:
         q_binomial.cache_clear()

@@ -436,6 +436,25 @@ def test_jacobsthal_reduces_its_gap_once(monkeypatch):
     assert calls == [5]
 
 
+@pytest.mark.parametrize("check,count", [
+    (check_shipan, 8), (check_double_harmonic, 4), (check_power_reduction, 4),
+])
+def test_passing_fraction_checks_reduce_r_once(monkeypatch, check, count):
+    # warm: the harmonic sums are cached, so only the checks' own reduces count;
+    # a passing _frac_residue leaves reducing r to frac_congruent
+    assert check(7).passed
+    calls = []
+    reduce = CongruenceContext.reduce
+
+    def counted_reduce(self, a):
+        calls.append(self.k)
+        return reduce(self, a)
+
+    monkeypatch.setattr(CongruenceContext, "reduce", counted_reduce)
+    assert check(7).passed
+    assert len(calls) == count
+
+
 def test_jacobsthal_validation():
     with pytest.raises(PrecondViolationError):
         check_jacobsthal(3, 2, 1)
