@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from time import perf_counter
 from typing import Callable, Iterator
@@ -49,60 +49,40 @@ class RunConfig:
 
 
 @dataclass
-class ResultRecord:
-    """One executed check, in report form.
+class Report:
+    """Ordered collection of check outcomes plus run metadata.
 
+    Every instance is one plain dict row, ``{"statement", "params", ...}``.
+    A result row adds ``passed``, ``expected_failure``, ``witness_truncated``
+    and ``elapsed_ms``; a skip row adds ``reason``, an error row ``error``.
     ``expected_failure`` marks a failing negative control, and only in a run
     with --negative-controls; anywhere else a failure is a failure.
     """
 
-    statement: str
-    params: dict[str, int]
-    passed: bool
-    expected_failure: bool
-    witness_truncated: dict | None
-    elapsed_ms: float
-
-
-@dataclass
-class Report:
-    """Ordered collection of check outcomes plus run metadata."""
-
     version: str
     created: str
     config: dict
-    results: list[ResultRecord]
+    results: list[dict]
     skipped: list[dict]
     errored: list[dict]
-    summary: dict[str, int] = field(default_factory=dict)
+    summary: dict[str, int]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(vars(self), indent=2)
 
     def render_text(self) -> str:
         lines = [f"q-congruence check report (created {self.created})"]
         for r in self.results:
-            verdict = "PASS" if r.passed else "FAIL"
-            tag = "  [expected failure]" if r.expected_failure else ""
-            detail = ""
-            if r.witness_truncated is not None:
-                w = r.witness_truncated
+            tail = "  [expected failure]" if r["expected_failure"] else ""
+            if (w := r["witness_truncated"]) is not None:
                 coeffs = " ".join(str(c) for c in w["coefficients"])
-                detail = f"  witness(deg {w['degree']}): {coeffs}"
+                tail += f"  witness(deg {w['degree']}): {coeffs}"
                 if w["degree"] + 1 > len(w["coefficients"]):
-                    detail += " ..."
-            lines.append(
-                f"{verdict}  {r.statement:<16} {_format_params(r.params)}"
-                f"  ({r.elapsed_ms:.1f} ms){tag}{detail}"
-            )
-        for s in self.skipped:
-            lines.append(
-                f"SKIP  {s['statement']:<16} {_format_params(s['params'])}  ({s['reason']})"
-            )
-        for e in self.errored:
-            lines.append(
-                f"ERROR {e['statement']:<16} {_format_params(e['params'])}  ({e['error']})"
-            )
+                    tail += " ..."
+            verdict = "PASS" if r["passed"] else "FAIL"
+            lines.append(_line(verdict, r, f"{r['elapsed_ms']:.1f} ms") + tail)
+        lines += [_line("SKIP", s, s["reason"]) for s in self.skipped]
+        lines += [_line("ERROR", e, e["error"]) for e in self.errored]
         c = self.summary
         lines.append(
             f"summary: {c['passed']} passed, {c['failed']} failed, "
@@ -112,8 +92,10 @@ class Report:
         return "\n".join(lines)
 
 
-def _format_params(params: dict[str, int]) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+def _line(verdict: str, row: dict, note: str) -> str:
+    """One report line: the verdict, the row's statement and sorted params."""
+    params = " ".join(f"{k}={v}" for k, v in sorted(row["params"].items()))
+    return f"{verdict:<5} {row['statement']:<16} {params}  ({note})"
 
 
 def _truncate_witness(witness: Poly | None) -> dict | None:
@@ -176,8 +158,9 @@ def _grid(
                 yield {"p": p, "a": a, "b": b}
 
 
-def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> ResultRecord:
-    """Run one instance, timing only the check, and record it under its table key."""
+def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> dict:
+    """Run one instance, timing only the check, and return its result row,
+    named by its table key."""
     entry = st.STATEMENTS[stmt]
     settings = {"k": cfg.k_override, "budget": cfg.budget}
     kw = {name: settings[name] for name in entry.settings if settings[name] is not None}
@@ -187,21 +170,21 @@ def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> ResultRecord:
     expected = (
         cfg.negative_controls and params.get("p") in entry.control_primes and not res.passed
     )
-    return ResultRecord(
-        statement=stmt,
-        params=res.params,
-        passed=res.passed,
-        expected_failure=expected,
-        witness_truncated=_truncate_witness(res.witness),
-        elapsed_ms=elapsed_ms,
-    )
+    return {
+        "statement": stmt,
+        "params": res.params,
+        "passed": res.passed,
+        "expected_failure": expected,
+        "witness_truncated": _truncate_witness(res.witness),
+        "elapsed_ms": elapsed_ms,
+    }
 
 
 def run_checks(cfg: RunConfig) -> Report:
     """Run the cartesian product of statements and parameters, returning a
     report sorted by statement id and then parameters."""
     primes = [p for p in cfg.p_values if is_prime(p)]
-    results: list[ResultRecord] = []
+    results: list[dict] = []
     skipped: list[dict] = []
     errored: list[dict] = []
 
@@ -221,17 +204,13 @@ def run_checks(cfg: RunConfig) -> Report:
             except Exception as exc:  # defensive: report, do not abort the batch
                 errored.append({"statement": stmt, "params": params, "error": repr(exc)})
 
-    def sort_key(statement: str, params: dict[str, int]):
-        return statement, tuple(sorted(params.items()))
-
-    results.sort(key=lambda r: sort_key(r.statement, r.params))
-    skipped.sort(key=lambda s: sort_key(s["statement"], s["params"]))
-    errored.sort(key=lambda e: sort_key(e["statement"], e["params"]))
+    for rows in (results, skipped, errored):
+        rows.sort(key=lambda row: (row["statement"], sorted(row["params"].items())))
 
     summary = {
-        "passed": sum(1 for r in results if r.passed),
-        "failed": sum(1 for r in results if not r.passed and not r.expected_failure),
-        "expected_failures": sum(1 for r in results if r.expected_failure),
+        "passed": sum(1 for r in results if r["passed"]),
+        "failed": sum(1 for r in results if not r["passed"] and not r["expected_failure"]),
+        "expected_failures": sum(1 for r in results if r["expected_failure"]),
         "skipped": len(skipped),
         "errored": len(errored),
     }
@@ -340,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--a-max", type=_at_least(0), default=4)
     shared.add_argument("--budget", type=_at_least(1), default=10**6,
-                        help="cap on the (p+1)^a composition space of "
-                             + _taking("budget"))
+                        help="skip an instance of " + _taking("budget") + " whose "
+                             "(p+1)^a exceeds this; a size proxy only, as its Chu "
+                             "steps enumerate no composition")
     shared.add_argument("--out", default=None, help="write a JSON report to this path")
     shared.add_argument("--format", choices=("text", "json"), default="text")
     shared.add_argument("--negative-controls", action="store_true",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qcong import congruence
+from qcong import congruence, statements
 from qcong.cli import RunConfig, _parse_p_values, main, run_checks
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial
@@ -207,15 +208,15 @@ def test_report_json_round_trip():
 def test_results_are_sorted_deterministically():
     cfg = RunConfig(statements=["convolution", "clark"], p_values=[7, 3, 5], a_max=1)
     report = run_checks(cfg)
-    keys = [(r.statement, tuple(sorted(r.params.items()))) for r in report.results]
+    keys = [(r["statement"], tuple(sorted(r["params"].items()))) for r in report.results]
     assert keys == sorted(keys)
 
 
 def test_summary_matches_tallies():
     cfg = RunConfig(statements=["classical"], p_values=[3, 5], a_max=2)
     report = run_checks(cfg)
-    assert report.summary["passed"] == sum(1 for r in report.results if r.passed)
-    assert report.summary["failed"] == sum(1 for r in report.results if not r.passed)
+    assert report.summary["passed"] == sum(1 for r in report.results if r["passed"])
+    assert report.summary["failed"] == sum(1 for r in report.results if not r["passed"])
     assert report.summary["skipped"] == len(report.skipped)
     assert report.summary["errored"] == len(report.errored)
 
@@ -233,6 +234,91 @@ def test_text_and_json_agree(capsys):
             line.startswith(verdict) and record["statement"] in line and needle in line
             for line in text.splitlines()
         ), record
+
+
+GOLDEN_TEXT_REPORT = """\
+q-congruence check report (created X)
+PASS  clark            a=0 b=0 k=3 p=3  (X ms)
+PASS  clark            a=0 b=0 k=3 p=13  (X ms)
+PASS  clark            a=1 b=0 k=3 p=3  (X ms)
+PASS  clark            a=1 b=0 k=3 p=13  (X ms)
+PASS  clark            a=1 b=1 k=3 p=3  (X ms)
+PASS  clark            a=1 b=1 k=3 p=13  (X ms)
+PASS  clark            a=2 b=0 k=3 p=3  (X ms)
+PASS  clark            a=2 b=0 k=3 p=13  (X ms)
+FAIL  clark            a=2 b=1 k=3 p=3  (X ms)  witness(deg 5): 0 2 4 6 4 2
+FAIL  clark            a=2 b=1 k=3 p=13  (X ms)  witness(deg 26): -14 0 0 0 0 0 0 0 0 0 0 0 0 28 0 0 ...
+PASS  clark            a=2 b=2 k=3 p=3  (X ms)
+PASS  clark            a=2 b=2 k=3 p=13  (X ms)
+FAIL  classical        a=0 b=0 binom_ok=1 harmonic1_ok=0 harmonic2_ok=0 p=3  (X ms)  [expected failure]  witness(deg 0): 3
+PASS  classical        a=0 b=0 binom_ok=1 harmonic1_ok=1 harmonic2_ok=1 p=13  (X ms)
+FAIL  classical        a=1 b=0 binom_ok=1 harmonic1_ok=0 harmonic2_ok=0 p=3  (X ms)  [expected failure]  witness(deg 0): 3
+PASS  classical        a=1 b=0 binom_ok=1 harmonic1_ok=1 harmonic2_ok=1 p=13  (X ms)
+FAIL  classical        a=1 b=1 binom_ok=1 harmonic1_ok=0 harmonic2_ok=0 p=3  (X ms)  [expected failure]  witness(deg 0): 3
+PASS  classical        a=1 b=1 binom_ok=1 harmonic1_ok=1 harmonic2_ok=1 p=13  (X ms)
+FAIL  classical        a=2 b=0 binom_ok=1 harmonic1_ok=0 harmonic2_ok=0 p=3  (X ms)  [expected failure]  witness(deg 0): 3
+PASS  classical        a=2 b=0 binom_ok=1 harmonic1_ok=1 harmonic2_ok=1 p=13  (X ms)
+FAIL  classical        a=2 b=1 binom_ok=0 harmonic1_ok=0 harmonic2_ok=0 p=3  (X ms)  [expected failure]  witness(deg 0): 18
+PASS  classical        a=2 b=1 binom_ok=1 harmonic1_ok=1 harmonic2_ok=1 p=13  (X ms)
+FAIL  classical        a=2 b=2 binom_ok=1 harmonic1_ok=0 harmonic2_ok=0 p=3  (X ms)  [expected failure]  witness(deg 0): 3
+PASS  classical        a=2 b=2 binom_ok=1 harmonic1_ok=1 harmonic2_ok=1 p=13  (X ms)
+PASS  shipan           harmonic1_ok=1 harmonic2_ok=1 p=13  (X ms)
+SKIP  clark            p=4  (p is not prime)
+SKIP  classical        p=4  (p is not prime)
+SKIP  shipan           p=3  (shipan needs p >= 5, got p=3)
+SKIP  shipan           p=4  (p is not prime)
+summary: 17 passed, 2 failed, 6 expected failures, 4 skipped, 0 errored
+"""
+
+
+def _mask_text(text: str) -> str:
+    text = re.sub(r"\(created [^)]*\)", "(created X)", text)
+    return re.sub(r"\(\d+\.\d ms\)", "(X ms)", text)
+
+
+def test_text_report_is_pinned_byte_for_byte(capsys):
+    # PASS, FAIL with a truncated witness, an expected failure and both
+    # kinds of SKIP, each in its sorted place
+    code = main([
+        "check", "--statements", "classical,clark,shipan", "--p", "3,4,13",
+        "--a-max", "2", "--k-override", "3", "--negative-controls",
+    ])
+    assert code == 1
+    assert _mask_text(capsys.readouterr().out) == GOLDEN_TEXT_REPORT
+
+
+def test_a_raising_check_becomes_an_error_row(capsys, monkeypatch):
+    real = statements.check_qchu
+
+    def check_qchu(m, n, k):
+        if (m, n, k) == (1, 1, 1):
+            raise RuntimeError("boom")
+        return real(m, n, k)
+
+    monkeypatch.setattr(statements, "check_qchu", check_qchu)
+    args = ["check", "--statements", "qchu", "--a-max", "0"]
+    assert main(args + ["--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["errored"] == [
+        {"statement": "qchu", "params": {"m": 1, "n": 1, "k": 1}, "error": "RuntimeError('boom')"}
+    ]
+    assert report["summary"]["errored"] == 1 and report["summary"]["failed"] == 0
+    assert {"m": 1, "n": 1, "k": 1} not in [r["params"] for r in report["results"]]
+    assert main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "ERROR qchu             k=1 m=1 n=1  (RuntimeError('boom'))"
+    assert lines[-1].endswith("0 skipped, 1 errored")
+
+
+def test_error_rows_are_sorted_by_the_result_key(monkeypatch):
+    # the grid nests m, n, k in that order; sorted params put k first
+    def check_qchu(m, n, k):
+        raise RuntimeError(f"boom {m}{n}{k}")
+
+    monkeypatch.setattr(statements, "check_qchu", check_qchu)
+    report = run_checks(RunConfig(statements=["qchu"], p_values=[5], a_max=0))
+    keys = [tuple(sorted(e["params"].items())) for e in report.errored]
+    assert len(keys) == report.summary["errored"] > 2 and keys == sorted(keys)
 
 
 def test_closed_pipe_prints_no_traceback(tmp_path):
