@@ -239,10 +239,11 @@ def _run(args: argparse.Namespace, **fields) -> int:
         return 2
     with out:
         report = run_checks(cfg)
+        as_json = report.to_json() if cfg.output_path or cfg.format == "json" else None
         # the file first, so that it is written even if stdout's reader hangs up
         if cfg.output_path:
-            out.write(report.to_json() + "\n")
-    print(report.to_json() if cfg.format == "json" else report.render_text())
+            out.write(as_json + "\n")
+    print(as_json if cfg.format == "json" else report.render_text())
     return 0 if report.summary["failed"] == 0 and report.summary["errored"] == 0 else 1
 
 

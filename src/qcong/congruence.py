@@ -31,6 +31,12 @@ from .poly import Poly
 from .qanalogs import InternalNonDivisibleError, modulus, q_number
 
 
+#: Above this many blocks of p coefficients beyond the k that fold keeps, the
+#: stride sums of Poly.taylor_fold beat the block loop (break-even at about 6-10
+#: blocks for p in 5..31 and k in 3..5).
+FOLD_BLOCK_CUTOFF = 8
+
+
 class DenominatorNotUnitError(ValueError):
     """The denominator D of a fractional congruence is not a unit modulo
     ([p]_q)^k in Z_(p)[q], i.e. p divides D(1)."""
@@ -52,13 +58,16 @@ class CongruenceContext:
         coefficients.
 
         That modulus has k + 1 terms, all at multiples of p, so a is folded a
-        block of p coefficients at a time.  The result keeps a's class modulo
-        ([p]_q)^k and its value at q = 1, where q^p - 1 vanishes; it is not
-        canonical.
+        block of p coefficients at a time; when more than FOLD_BLOCK_CUTOFF
+        blocks lie above the k kept, Poly.taylor_fold's stride sums return the
+        same remainder faster.  The result keeps a's class modulo ([p]_q)^k
+        and its value at q = 1, where q^p - 1 vanishes; it is not canonical.
         """
         p, k = self.p, self.k
         if len(a.coeffs) <= k * p:
             return a
+        if len(a.coeffs) > (k + FOLD_BLOCK_CUTOFF) * p:
+            return a.taylor_fold(p, k)
         r = list(a.coeffs)
         r += [0] * (-len(r) % p)
         blocks = [r[i:i + p] for i in range(0, len(r), p)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd as _int_gcd
-from operator import sub
+from operator import add, neg, sub
 from typing import Iterable
 
 
@@ -61,12 +61,34 @@ class Poly:
             raise ValueError(f"need m >= 0 and over >= 1, got m={m}, over={over}")
         pad = (0,) * m
         acc = list(map(sub, self.coeffs + pad, pad + self.coeffs))
-        for r in range(over):
-            acc[r::over] = accumulate(acc[r::over])
+        _stride_sums(acc, over)
         if any(acc[-over:]):
             raise NotDivisibleError(f"{self} * [{m}]_q is not divisible by [{over}]_q")
         del acc[-over:]
         return Poly(acc)
+
+    def taylor_fold(self, p: int, k: int) -> Poly:
+        """The remainder of self modulo (q^p - 1)^k, of degree < kp, for p, k >= 1.
+
+        In x = q^p, self is a polynomial whose coefficients are blocks of p
+        coefficients, and the remainder is sum_{j<k} E_j (x - 1)^j, with E_j
+        its Taylor coefficients at x = 1.  Read top block first, round j of
+        stride-p prefix sums leaves E_j as the last block, which is removed
+        before the next round; Horner in x - 1 then rebuilds the remainder.
+        No polynomial multiplication is made.
+        """
+        # blocks top first, each one reversed, so the lowest block ends the list
+        acc = [0] * (-len(self.coeffs) % p)
+        acc += reversed(self.coeffs)
+        taylor = []
+        for _ in range(k):
+            _stride_sums(acc, p)
+            taylor.append(Poly(acc[:-p - 1:-1]))
+            del acc[-p:]
+        out = Poly()
+        for e in reversed(taylor):
+            out = out.shift(p) - out + e
+        return out
 
     @property
     def degree(self) -> int | None:
@@ -92,8 +114,11 @@ class Poly:
             return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
+    # The ring operations map operator functions over coefficient lists.  A list,
+    # not tuple(map(...)): tuple() of an iterator with no length hint resizes a
+    # 10-slot tuple, which drains one small-tuple free list and fills another.
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return Poly(list(map(neg, self.coeffs)))
 
     def __add__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
@@ -103,9 +128,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = list(map(add, a, b))
+        out += a[len(b):]
         return Poly(out)
 
     __radd__ = __add__
@@ -115,10 +139,14 @@ class Poly:
             other = Poly((other,))
         elif not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(map(sub, a, b))
+        out += a[len(b):]
+        out += map(neg, b[len(a):])
+        return Poly(out)
 
     def __rsub__(self, other: int) -> Poly:
-        return Poly((other,)) + (-self)
+        return Poly((other,)) - self
 
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
@@ -249,6 +277,13 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"
+
+
+def _stride_sums(acc: list[int], stride: int) -> None:
+    """Replace acc, in place, by its prefix sums within each residue class
+    of positions modulo stride."""
+    for r in range(stride):
+        acc[r::stride] = accumulate(acc[r::stride])
 
 
 def _content(p: Poly) -> int:

@@ -54,12 +54,15 @@ def q_binomial(n: int, k: int) -> Poly:
     the convention for unrestricted summation indices.  Built as the product
     of [n-k+i]_q / [i]_q, i = 1..k, one Poly.times_q_number step each; every
     step divides exactly, because the partial product up to i is C_q(n-k+i, i).
+    For 2k > n it is C_q(n, n-k), the same cached object, so each symmetric
+    pair is built once.
     """
     if n < 0:
         raise ValueError(f"q_binomial needs n >= 0, got {n}")
     if k < 0 or k > n:
         return Poly()
-    k = min(k, n - k)
+    if 2 * k > n:
+        return q_binomial(n, n - k)
     return fold(lambda f, i: f.times_q_number(n - k + i, i), range(1, k + 1), Poly((1,)))
 
 

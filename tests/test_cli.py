@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from qcong import congruence, statements
-from qcong.cli import RunConfig, _parse_p_values, main, run_checks
+from qcong.cli import Report, RunConfig, _parse_p_values, main, run_checks
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial
 from qcong.statements import STATEMENT_IDS
@@ -350,6 +350,18 @@ def test_report_written_to_file(tmp_path, capsys):
     on_disk = json.loads(out.read_text())
     assert on_disk["summary"]["failed"] == 0
     assert on_disk["config"]["output_path"] == str(out)
+
+
+def test_json_out_serializes_the_report_once(tmp_path, capsys, monkeypatch):
+    to_json = Report.to_json
+    calls = []
+    monkeypatch.setattr(Report, "to_json", lambda self: calls.append(1) or to_json(self))
+    out = tmp_path / "report.json"
+    code = main(["check", "--statements", "convolution", "--p", "2,3",
+                 "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert len(calls) == 1
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [

@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as hst
 
 from qcong import congruence
 from qcong.congruence import (
+    FOLD_BLOCK_CUTOFF,
     CongruenceContext,
     DenominatorNotUnitError,
     q_double_harmonic,
@@ -105,6 +106,28 @@ def test_fold_keeps_the_class_and_the_value_at_one(data):
     assert ctx.reduce(folded) == ctx.reduce(a)
     assert folded.eval_at_one() == a.eval_at_one()
     assert (a - folded).divrem_monic((Poly.monomial(p) - 1) ** k)[1].is_zero()
+
+
+@given(hst.data())
+def test_fold_is_the_remainder_on_both_sides_of_the_stride_cutoff(data):
+    # Past FOLD_BLOCK_CUTOFF blocks above the k kept, fold takes the stride
+    # sums of Poly.taylor_fold instead of the block loop; both must give the
+    # unique remainder modulo (q^p - 1)^k, at every length.
+    p = data.draw(hst.sampled_from((2, 3, 5, 7, 11, 13, 23, 31)), label="p")
+    k = data.draw(hst.integers(1, 5), label="k")
+    cut = (k + FOLD_BLOCK_CUTOFF) * p
+    length = data.draw(hst.one_of(
+        hst.integers(0, 150 * p),
+        hst.sampled_from((cut - p, cut - 1, cut, cut + 1, cut + p)),
+    ), label="length")
+    bits = data.draw(hst.integers(0, 120), label="bits")
+    rnd = data.draw(hst.randoms(use_true_random=False))
+    a = Poly(rnd.randint(-(2**bits), 2**bits) for _ in range(length))
+    ctx = CongruenceContext(p, k)
+    expected = a.divrem_monic((Poly.monomial(p) - 1) ** k)[1]
+    assert ctx.fold(a) == expected
+    assert a.taylor_fold(p, k) == expected
+    assert ctx.reduce(a) == a.divrem_monic(modulus(p, k))[1]
 
 
 @given(polys)

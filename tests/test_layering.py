@@ -1,4 +1,5 @@
-"""The stride prefix sums live in one kernel, Poly.times_q_number."""
+"""The stride prefix sums live in one qcong.poly helper, shared by
+Poly.times_q_number and the fold modulo (q^p - 1)^k, Poly.taylor_fold."""
 
 from __future__ import annotations
 

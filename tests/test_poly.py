@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
+from operator import add, sub
 
 import pytest
 from hypothesis import given, strategies as hst
@@ -231,6 +233,29 @@ def test_str_and_repr():
 @given(polys, polys)
 def test_add_commutes(a, b):
     assert a + b == b + a
+
+
+def _coefficientwise(op, a: Poly, b: Poly) -> tuple[int, ...]:
+    cs = [op(x, y) for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@given(coeff_lists, coeff_lists, hst.integers(-(10**6), 10**6))
+def test_add_sub_neg_match_a_coefficientwise_reference(xs, ys, c):
+    # unequal lengths both ways, int operands (0 included), and differences
+    # whose top coefficients cancel, down to the zero polynomial
+    a, b, const = Poly(xs), Poly(ys), Poly((c,))
+    top_shared = Poly(ys + xs[len(ys):])
+    for x, y in ((a, b), (b, a), (a, top_shared), (a, a)):
+        assert (x + y).coeffs == _coefficientwise(add, x, y)
+        assert (x - y).coeffs == _coefficientwise(sub, x, y)
+    assert (-a).coeffs == _coefficientwise(sub, Poly(), a)
+    assert (a - a).coeffs == (a + -a).coeffs == ()
+    assert (a + c).coeffs == (c + a).coeffs == _coefficientwise(add, a, const)
+    assert (a - c).coeffs == _coefficientwise(sub, a, const)
+    assert (c - a).coeffs == _coefficientwise(sub, const, a)
 
 
 @given(polys, polys)

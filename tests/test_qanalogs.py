@@ -68,6 +68,23 @@ def test_q_binomial_guards_its_exact_divisions(monkeypatch):
         q_binomial.cache_clear()
 
 
+@pytest.mark.parametrize("n, k", [(9, 3), (12, 7), (40, 25), (41, 1)])
+def test_q_binomial_builds_each_symmetric_pair_once(monkeypatch, n, k):
+    # whichever of k and n - k comes first, the partner is the same object
+    # and costs no Poly.times_q_number step
+    times = Poly.times_q_number
+    steps = []
+    q_binomial.cache_clear()
+    try:
+        first = q_binomial(n, k)
+        monkeypatch.setattr(Poly, "times_q_number",
+                            lambda f, *args: steps.append(args) or times(f, *args))
+        assert q_binomial(n, n - k) is first
+        assert steps == []
+    finally:
+        q_binomial.cache_clear()
+
+
 def test_q_binomial_pascal_recurrence_holds_exactly():
     for n in range(1, 31):
         for k in range(1, n + 1):
