@@ -101,11 +101,11 @@ class CongruenceContext:
         """True iff ([p]_q)^k divides a - b in Z[q]."""
         return self.reduce(a - b).is_zero()
 
-    def frac_congruent(self, num: Poly, den: Poly, r: Poly) -> bool:
-        """True iff num = r * den modulo ([p]_q)^k, i.e. num/den = r.
+    def frac_residue(self, num: Poly, den: Poly, r: Poly) -> Poly:
+        """num - r * den reduced modulo ([p]_q)^k: zero iff num/den = r.
 
         num, den and r may be any representatives modulo ([p]_q)^k: the
-        verdict depends only on their classes, so r is reduced first.  Raises
+        residue depends only on their classes, so r is reduced first.  Raises
         DenominatorNotUnitError when p divides den(1) (a zero den included):
         then den is not a unit modulo ([p]_q)^k in Z_(p)[q], and the
         fractional congruence would be meaningless.
@@ -116,7 +116,12 @@ class CongruenceContext:
                 f"denominator is not a unit modulo [{self.p}]_q: "
                 f"its value {at_one} at q = 1 is divisible by {self.p}"
             )
-        return self.congruent(num, self.reduce(r) * den)
+        return self.reduce(num - self.reduce(r) * den)
+
+    def frac_congruent(self, num: Poly, den: Poly, r: Poly) -> bool:
+        """True iff num = r * den modulo ([p]_q)^k, i.e. num/den = r; see
+        frac_residue."""
+        return not self.frac_residue(num, den, r)
 
 
 def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:

@@ -5,6 +5,8 @@ ascending powers of q, trimmed so that the highest stored coefficient is
 nonzero.  The zero polynomial stores an empty tuple and reports a degree
 of ``None`` rather than a number, so accidental degree arithmetic on it
 fails loudly.  Nothing in this module ever leaves integer arithmetic.
+The q-binomial step half_times_q_ratio works on a plain list instead: the
+lower half of a palindrome, whose upper half it never stores.
 """
 
 from __future__ import annotations
@@ -52,20 +54,14 @@ class Poly:
             return self
         return Poly((0,) * e + self.coeffs)
 
-    def times_q_number(self, m: int, over: int = 1) -> Poly:
-        """Return self * [m]_q / [over]_q, for m >= 0 and over >= 1: the stride-over
-        prefix sums of self - q^m self, i.e. its quotient by 1 - q^over, which is
-        exact (always so for over = 1) iff the last over sums vanish; else
-        NotDivisibleError.  No polynomial multiplication is made."""
-        if m < 0 or over < 1:
-            raise ValueError(f"need m >= 0 and over >= 1, got m={m}, over={over}")
+    def times_q_number(self, m: int) -> Poly:
+        """Return self * [m]_q, for m >= 0: the prefix sums of self - q^m self,
+        i.e. its quotient by 1 - q.  No polynomial multiplication is made."""
+        if m < 0:
+            raise ValueError(f"need m >= 0, got m={m}")
         pad = (0,) * m
-        acc = list(map(sub, self.coeffs + pad, pad + self.coeffs))
-        _stride_sums(acc, over)
-        if any(acc[-over:]):
-            raise NotDivisibleError(f"{self} * [{m}]_q is not divisible by [{over}]_q")
-        del acc[-over:]
-        return Poly(acc)
+        acc = list(accumulate(map(sub, self.coeffs + pad, pad + self.coeffs)))
+        return Poly(acc[:-1])
 
     def taylor_fold(self, p: int, k: int) -> Poly:
         """The remainder of self modulo (q^p - 1)^k, of degree < kp, for p, k >= 1.
@@ -277,6 +273,40 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"
+
+
+def half_times_q_ratio(half: list[int], degree: int, m: int, over: int) -> list[int]:
+    """The lower half of f * [m]_q / [over]_q, for f palindromic of the given
+    degree and half its coefficients 0..degree//2; m, over >= 1.
+
+    The quotient is palindromic of degree degree + m - over, so only its
+    lower half is computed: f is mirrored up to L = (degree + m)//2 + 1
+    coefficients, d = f - q^m f is cut there, and the stride-over prefix sums
+    T of d are the quotient by 1 - q^over.  d is anti-palindromic, so each
+    class sum of d modulo over is a top-window entry of T minus a bottom
+    one; [over]_q divides f [m]_q iff they all vanish, else NotDivisibleError.
+    """
+    if degree < 0 or m < 1 or over < 1 or len(half) != degree // 2 + 1 or not half[0]:
+        raise ValueError(f"need the nonzero half of a palindrome of degree {degree} >= 0, "
+                         f"m >= 1 and over >= 1; got {len(half)} coefficients, "
+                         f"m={m}, over={over}")
+    size = (degree + m) // 2 + 1
+    top = (degree + 1) // 2
+    mirrored = min(top, size - len(half))
+    d = half + half[top - mirrored:top][::-1]
+    d += [0] * (size - len(d))
+    d[m:] = map(sub, d[m:], d)  # the map is drained before d changes
+    _stride_sums(d, over)
+
+    def window(end: int) -> list[int]:
+        # d[end - over:end], a negative index reading 0
+        return [0] * (over - end) + d[max(end - over, 0):end]
+
+    if window(size)[::-1] != window(degree + m - size + 1):
+        raise NotDivisibleError(
+            f"f * [{m}]_q is not divisible by [{over}]_q for f of degree {degree}")
+    del d[(degree + m - over) // 2 + 1:]
+    return d
 
 
 def _stride_sums(acc: list[int], stride: int) -> None:

@@ -9,12 +9,15 @@ The one exception is check_classical, which accepts p = 3 so the known
 failure of the mod-p^3 congruence there can serve as a negative control.
 A compound check (shipan, power_reduction, classical) has one 0/1 flag
 per part in its params, and the residue of its first failing part.
+The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme and
+jacobsthal's q_exponent) share C_q(ap, bp)'s residue, reduced once per
+(p, a, min(b, a-b), k) and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Iterable, Literal
 
@@ -94,11 +97,6 @@ def _parts(params: dict[str, int], **residues: Poly) -> CheckResult:
     return CheckResult({**params, **flags}, first_failure)
 
 
-def _frac_residue(ctx: CongruenceContext, num: Poly, den: Poly, r: Poly) -> Poly:
-    """Zero when num/den = r modulo ctx's M, else num - r * den reduced."""
-    return Poly() if ctx.frac_congruent(num, den, r) else ctx.reduce(num - ctx.reduce(r) * den)
-
-
 def _qp_minus_one(p: int) -> Poly:
     return Poly.monomial(p) - 1
 
@@ -108,15 +106,32 @@ def _two_power(p: int) -> Poly:
     return q_number(2).substitute_power(p * p)
 
 
-def _binomial_gap(p: int, a: int, b: int, correction: Poly | int) -> Poly:
-    """C_q(ap, bp) - C_{q^(p^2)}(a, b) - correction, unreduced."""
-    return q_binomial(a * p, b * p) - q_binomial(a, b).substitute_power(p * p) - correction
+@lru_cache(maxsize=None)
+def _binomial_residue(p: int, a: int, b: int, k: int) -> Poly:
+    """C_q(ap, bp) reduced modulo ([p]_q)^k, cached; callers pass b <= a - b,
+    so each symmetric pair is one entry."""
+    return CongruenceContext(p, k).reduce(q_binomial(a * p, b * p))
 
 
-def _ljunggren_gap(p: int, a: int, b: int) -> Poly:
-    """Left side minus right side of check_q_ljunggren's congruence, unreduced."""
+def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Poly:
+    """C_q(ap, bp) - C_{q^(p^2)}(a, b) - correction modulo ([p]_q)^k, as a
+    short representative: not canonical, so reduce it again.
+
+    The left side is _binomial_residue's; the right side is C_{x^p}(a, b)
+    folded modulo (x - 1)^k at x = q^p, which ([p]_q)^k divides.  Neither
+    side forms a polynomial of degree b(a-b)p^2, and since reduce is
+    canonical and Z-linear, the reduced gap is that of the full one.
+    """
+    lhs = _binomial_residue(p, a, min(b, a - b), k)
+    rhs = q_binomial(a, b).substitute_power(p).taylor_fold(1, k).substitute_power(p)
+    return lhs - rhs - correction
+
+
+def _ljunggren_gap(p: int, a: int, b: int, k: int) -> Poly:
+    """Left side minus right side of check_q_ljunggren's congruence modulo
+    ([p]_q)^k, as _binomial_gap's short representative."""
     corr = binom(a, b + 1) * binom(b + 1, 2) * _exact_scalar(p * p - 1, 12)
-    return _binomial_gap(p, a, b, -corr * _qp_minus_one(p) ** 2)
+    return _binomial_gap(p, a, b, k, -corr * _qp_minus_one(p) ** 2)
 
 
 def _chu_sum(m: int, n: int, k: int, right: Callable[[int], Poly],
@@ -185,7 +200,7 @@ def check_clark(p: int, a: int, b: int, k: int = 2) -> CheckResult:
     """Clark's congruence: C_q(ap, bp) = C_{q^(p^2)}(a, b) mod ([p]_q)^2."""
     _require_prime(p, "clark")
     _require(0 <= b <= a, f"clark needs 0 <= b <= a, got a={a}, b={b}")
-    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, 0))
+    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, k, 0))
     return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
@@ -199,7 +214,7 @@ def check_q_ljunggren(p: int, a: int, b: int, k: int = 3) -> CheckResult:
     """
     _require_prime(p, "q_ljunggren", minimum=5)
     _require(0 <= b <= a, f"q_ljunggren needs 0 <= b <= a, got a={a}, b={b}")
-    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, a, b))
+    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, a, b, k))
     return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
@@ -213,9 +228,9 @@ def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
     """
     _require_prime(p, "cong2", minimum=5)
     _require(0 <= b <= a, f"cong2 needs 0 <= b <= a, got a={a}, b={b}")
-    scale = binom(a, b + 1) * binom(b + 1, 2)
-    correction = scale * (q_binomial(2 * p, p) - _two_power(p))
-    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, correction))
+    # C_q(2p, p) - (1 + q^(p^2)) is the gap at (a, b) = (2, 1)
+    correction = binom(a, b + 1) * binom(b + 1, 2) * _binomial_gap(p, 2, 1, k, 0)
+    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, k, correction))
     return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
@@ -227,7 +242,7 @@ def check_q_wolstenholme(p: int, k: int = 3) -> CheckResult:
     modulo ([p]_q)^3.  This is the a=2, b=1 case of check_q_ljunggren.
     """
     _require_prime(p, "q_wolstenholme", minimum=5)
-    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, 2, 1))
+    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, 2, 1, k))
     return CheckResult({"p": p, "k": k}, diff)
 
 
@@ -253,8 +268,8 @@ def check_shipan(p: int) -> CheckResult:
 
     return _parts(
         {"p": p},
-        harmonic1_ok=_frac_residue(ctx2, num1, den1, rhs1),
-        harmonic2_ok=_frac_residue(ctx1, num2, den2, rhs2),
+        harmonic1_ok=ctx2.frac_residue(num1, den1, rhs1),
+        harmonic2_ok=ctx1.frac_residue(num2, den2, rhs2),
     )
 
 
@@ -267,7 +282,7 @@ def check_double_harmonic(p: int) -> CheckResult:
     ctx = CongruenceContext(p, 1)
     num, den = q_double_harmonic(ctx)
     rhs = _exact_scalar((p - 1) * (p - 2), 6) * Poly((-1, 1)) ** 2
-    return CheckResult({"p": p}, _frac_residue(ctx, num, den, rhs))
+    return CheckResult({"p": p}, ctx.frac_residue(num, den, rhs))
 
 
 def check_power_reduction(p: int) -> CheckResult:
@@ -298,7 +313,7 @@ def check_power_reduction(p: int) -> CheckResult:
     rhs3 = 2 + p * qp1 + _exact_scalar((p - 1) * p, 2) * qp1 ** 2
     return _parts(
         {"p": p},
-        harmonic_form_ok=_frac_residue(ctx, num, dh_den, central),
+        harmonic_form_ok=ctx.frac_residue(num, dh_den, central),
         central_reduction_ok=ctx.reduce(central - rhs2),
         two_power_ok=ctx.reduce(_two_power(p) - rhs3),
     )
@@ -351,7 +366,7 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
         r += 1
     residue = (binom(a * p, b * p) - binom(a, b)) % p ** (3 + r)
     identity_gap = value - 2 * a * binom(a, b + 1) * binom(b + 1, 2)
-    q_exponent = CongruenceContext(p, 5).valuation(_ljunggren_gap(p, a, b))
+    q_exponent = CongruenceContext(p, 5).valuation(_ljunggren_gap(p, a, b, 5))
     return CheckResult(
         {"p": p, "a": a, "b": b, "r": r, "q_exponent": q_exponent},
         Poly((residue or identity_gap,)),

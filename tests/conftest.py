@@ -25,6 +25,11 @@ The expansion oracle enumerates every composition c_1+...+c_a = bp with
 from Pascal lists, one term per composition; the package instead runs one
 q-Chu-Vandermonde step per part over prefix sums.
 
+The full-step oracle is the q-binomial construction before it kept only
+lower halves: each step multiplies the whole coefficient list by
+(1 - q^m) / (1 - q^i) with stride-i prefix sums and checks that the last i
+sums, the class sums modulo i, vanish.
+
 The valuation oracle tries each exponent in turn: the largest j <= cap for
 which plain monic division of f by ([p]_q)^j leaves no remainder.
 """
@@ -32,7 +37,7 @@ which plain monic division of f by ([p]_q)^j leaves no remainder.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable
 
 from qcong.poly import Poly
@@ -78,6 +83,32 @@ def qbinom_pascal(n: int, k: int) -> list[int]:
     if k < 0 or k > n:
         return []
     return list(qbinom_pascal_triangle(n)[(n, k)])
+
+
+def full_step(coeffs: list[int], m: int, over: int) -> list[int] | None:
+    """Oracle f * [m]_q / [over]_q on the whole coefficient list, trailing
+    zeros kept; None when [over]_q does not divide f * [m]_q."""
+    pad = [0] * m
+    acc = [x - y for x, y in zip(coeffs + pad, pad + coeffs)]
+    for r in range(over):
+        acc[r::over] = accumulate(acc[r::over])
+    if any(acc[-over:]):
+        return None
+    return acc[:-over]
+
+
+def palindrome(half: list[int], odd: bool) -> Poly:
+    """The palindrome of odd or even degree whose lower half is half."""
+    return Poly(half + half[:len(half) - 1 + odd][::-1])
+
+
+def qbinom_full_steps(n: int, k: int) -> list[int]:
+    """Oracle q-binomial for 0 <= k <= n as the product of full steps
+    [n-k+i]_q / [i]_q, i = 1..k."""
+    out = [1]
+    for i in range(1, k + 1):
+        out = full_step(out, n - k + i, i)
+    return out
 
 
 def expansion_sum(p: int, a: int, b: int) -> list[int]:

@@ -3,7 +3,9 @@
 perfbench/child.py wraps program functions by name (Poly.exact_div,
 poly.gcd_primitive, CongruenceContext.frac_congruent, q_harmonic_sum,
 q_double_harmonic, ...).  Renaming or deleting one of them crashes a traced
-benchmark run, which no other test here would notice.
+benchmark run, which no other test here would notice.  The checks reach
+fractions through CongruenceContext.frac_residue, so frac_congruent, which
+no check calls, is called here directly.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ child.install(tracer)
 assert child.statements.check_power_reduction(5).passed
 assert child.statements.check_shipan(7).passed
 assert child.statements.check_double_harmonic(7).passed
+one = child.poly.Poly((1,))
+assert child.congruence.CongruenceContext(7, 2).frac_congruent(one, one, one)
 totals = tracer.totals()
 assert 'congruence.frac_congruent' in totals
 # one span per q_harmonic_sum / q_double_harmonic call, cache hit or miss,

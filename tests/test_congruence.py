@@ -20,7 +20,6 @@ from qcong.congruence import (
 from qcong.qanalogs import InternalNonDivisibleError
 from qcong.poly import Poly
 from qcong.qanalogs import NotPrimeError, is_prime, modulus, q_binomial, q_number
-from qcong.statements import _frac_residue
 
 # Remainder of q_binomial(10, 5) modulo ([5]_q)^3, computed independently
 # (long division of both the Gaussian binomial and 1 + q^25 - 2(q^5-1)^2).
@@ -36,6 +35,13 @@ def test_context_caches_modulus():
     assert ctx.modulus.degree == 12
     with pytest.raises(NotPrimeError):
         CongruenceContext(6, 1)
+
+
+def test_contexts_share_one_modulus_build():
+    modulus.cache_clear()
+    first, second = CongruenceContext(11, 4), CongruenceContext(11, 4)
+    assert first.modulus is second.modulus
+    assert modulus.cache_info().misses == 1
 
 
 def test_reduce_q_to_the_p():
@@ -401,7 +407,7 @@ def test_harmonic_sums_match_the_per_k_loop(p, k):
     ]
     for pair, oracle, rhs in cases:
         r = rhs + 1
-        residue = _frac_residue(ctx, *pair, r)
+        residue = ctx.frac_residue(*pair, r)
         assert not residue.is_zero()
         assert residue == ctx.reduce(oracle[0] - r * oracle[1])
 

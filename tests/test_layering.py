@@ -1,5 +1,7 @@
-"""The stride prefix sums live in one qcong.poly helper, shared by
-Poly.times_q_number and the fold modulo (q^p - 1)^k, Poly.taylor_fold."""
+"""Prefix sums are taken only in qcong.poly: by Poly.times_q_number, and by
+one stride-sum helper, _stride_sums, shared by the q-binomial step
+poly.half_times_q_ratio and the fold modulo (q^p - 1)^k, Poly.taylor_fold.
+No other module takes prefix sums or names that helper."""
 
 from __future__ import annotations
 
@@ -25,5 +27,27 @@ def test_only_poly_takes_prefix_sums():
         path.name
         for path in sorted(SRC.glob("*.py"))
         if _uses_accumulate(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert users == ["poly.py"]
+
+
+def _names_stride_sums(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_stride_sums":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "_stride_sums":
+            return True
+        if isinstance(node, ast.ImportFrom) and any(
+            alias.name in ("_stride_sums", "*") for alias in node.names
+        ):
+            return True
+    return False
+
+
+def test_only_poly_names_the_stride_sums():
+    users = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _names_stride_sums(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert users == ["poly.py"]

@@ -7,9 +7,16 @@ from itertools import zip_longest
 from operator import add, sub
 
 import pytest
+from conftest import palindrome
 from hypothesis import given, strategies as hst
 
-from qcong.poly import NonMonicDivisorError, NotDivisibleError, Poly, gcd_primitive
+from qcong.poly import (
+    NonMonicDivisorError,
+    NotDivisibleError,
+    Poly,
+    gcd_primitive,
+    half_times_q_ratio,
+)
 from qcong.qanalogs import q_number
 
 # Random polynomials: coefficients up to 10**6, degree up to 50.
@@ -116,32 +123,47 @@ def test_times_q_number_edge_cases():
         Poly([1]).times_q_number(-1)
 
 
-@given(small_polys, hst.integers(0, 12), hst.integers(1, 6))
-def test_times_q_number_over_matches_monic_division(f, m, over):
+def _lower_half(f: Poly) -> list[int]:
+    return list(f.coeffs[:f.degree // 2 + 1])
+
+
+# Lower halves of nonzero palindromes: a nonzero constant term, up to 12 coefficients.
+halves = hst.tuples(
+    hst.integers(-100, 100).filter(bool), hst.lists(hst.integers(-100, 100), max_size=11)
+).map(lambda t: [t[0], *t[1]])
+
+
+@given(halves, hst.booleans(), hst.integers(1, 12), hst.integers(1, 6))
+def test_half_times_q_ratio_matches_monic_division(half, odd, m, over):
+    f = palindrome(half, odd)
     quot, rem = (f * q_number(m)).divrem_monic(q_number(over))
     if rem:
         with pytest.raises(NotDivisibleError):
-            f.times_q_number(m, over)
+            half_times_q_ratio(half, f.degree, m, over)
     else:
-        assert f.times_q_number(m, over) == quot
+        assert half_times_q_ratio(half, f.degree, m, over) == _lower_half(quot)
 
 
-@given(small_polys, hst.integers(0, 12), hst.integers(1, 6))
-def test_times_q_number_over_divides_a_multiple_of_over(g, m, over):
-    assert (g * q_number(over)).times_q_number(m, over) == g * q_number(m)
+@given(halves, hst.booleans(), hst.integers(1, 12), hst.integers(1, 6))
+def test_half_times_q_ratio_divides_a_multiple_of_over(half, odd, m, over):
+    f = palindrome(half, odd) * q_number(over)
+    expected = palindrome(half, odd) * q_number(m)
+    assert half_times_q_ratio(_lower_half(f), f.degree, m, over) == _lower_half(expected)
 
 
-def test_times_q_number_over_edge_cases():
-    # over beyond deg f + m + 1: only a zero product divides
-    assert Poly().times_q_number(2, 9) == Poly()
-    assert Poly([1, 2]).times_q_number(0, 9) == Poly()
+def test_half_times_q_ratio_edge_cases():
+    # over beyond deg f + m + 1: a nonzero product never divides
     with pytest.raises(NotDivisibleError):
-        Poly([1, 2]).times_q_number(2, 9)
-    assert Poly([3, -1, 4]).times_q_number(0, 4) == Poly()
-    with pytest.raises(ValueError):
-        Poly([1]).times_q_number(2, 0)
-    with pytest.raises(ValueError):
-        Poly([1]).times_q_number(-1, 2)
+        half_times_q_ratio([1, 2], 2, 2, 9)
+    with pytest.raises(NotDivisibleError):
+        half_times_q_ratio([3], 0, 1, 3)
+    # [over]_q itself, times [1]_q = 1, over [over]_q
+    assert half_times_q_ratio([1, 1, 1], 4, 1, 5) == [1]
+    assert half_times_q_ratio([1], 0, 7, 7) == [1]
+    for bad in (([1], 0, 0, 1), ([1], 0, 1, 0), ([1, 2], 1, 1, 1),
+                ([0, 2], 2, 1, 1), ([1], -1, 1, 1)):
+        with pytest.raises(ValueError):
+            half_times_q_ratio(*bad)
 
 
 def test_divrem_monic_exact_factor():

@@ -5,11 +5,19 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import q_factorial, q_product, qbinom_pascal, qbinom_pascal_triangle
+from conftest import (
+    full_step,
+    palindrome,
+    q_factorial,
+    q_product,
+    qbinom_full_steps,
+    qbinom_pascal,
+    qbinom_pascal_triangle,
+)
 from hypothesis import given, strategies as hst
 
-from qcong import poly
-from qcong.poly import NotDivisibleError, Poly
+from qcong import poly, qanalogs
+from qcong.poly import NotDivisibleError, Poly, half_times_q_ratio
 from qcong.qanalogs import (
     NotPrimeError,
     is_prime,
@@ -71,18 +79,55 @@ def test_q_binomial_guards_its_exact_divisions(monkeypatch):
 @pytest.mark.parametrize("n, k", [(9, 3), (12, 7), (40, 25), (41, 1)])
 def test_q_binomial_builds_each_symmetric_pair_once(monkeypatch, n, k):
     # whichever of k and n - k comes first, the partner is the same object
-    # and costs no Poly.times_q_number step
-    times = Poly.times_q_number
+    # and costs no half_times_q_ratio step; the first build takes min(k, n - k)
+    step = qanalogs.half_times_q_ratio
     steps = []
+    monkeypatch.setattr(qanalogs, "half_times_q_ratio",
+                        lambda *args: steps.append(args) or step(*args))
     q_binomial.cache_clear()
     try:
         first = q_binomial(n, k)
-        monkeypatch.setattr(Poly, "times_q_number",
-                            lambda f, *args: steps.append(args) or times(f, *args))
+        assert len(steps) == min(k, n - k)
         assert q_binomial(n, n - k) is first
-        assert steps == []
+        assert len(steps) == min(k, n - k)
     finally:
         q_binomial.cache_clear()
+
+
+@given(hst.integers(0, 200).flatmap(
+    lambda n: hst.tuples(hst.just(n), hst.integers(0, n))
+))
+def test_q_binomial_matches_the_full_steps_up_to_200(nk):
+    n, k = nk
+    assert list(q_binomial(n, k).coeffs) == qbinom_full_steps(n, min(k, n - k))
+
+
+@pytest.mark.parametrize("p", [19, 23])
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 6) for b in range(a + 1)])
+def test_q_binomial_matches_the_full_steps_on_the_ljunggren_grid(p, a, b):
+    # the benchmark's q_ljunggren grid, --p 19,23 --a-max 5, built both ways
+    assert list(q_binomial(a * p, b * p).coeffs) == qbinom_full_steps(a * p, b * p)
+
+
+# Palindromes with a chance to divide: a random one times [j]_q for j in 1..8.
+palindromes = hst.builds(
+    lambda lead, rest, odd, j: palindrome([lead, *rest], odd) * q_number(j),
+    hst.integers(-50, 50).filter(bool), hst.lists(hst.integers(-50, 50), max_size=15),
+    hst.booleans(), hst.integers(1, 8),
+)
+
+
+@given(palindromes, hst.integers(1, 30), hst.integers(1, 12))
+def test_window_check_agrees_with_the_full_length_check(f, m, over):
+    # the step raises exactly when the full step's last over sums do not all
+    # vanish, and otherwise returns the lower half of the full quotient
+    full = full_step(list(f.coeffs), m, over)
+    half = list(f.coeffs[:f.degree // 2 + 1])
+    if full is None:
+        with pytest.raises(NotDivisibleError):
+            half_times_q_ratio(half, f.degree, m, over)
+    else:
+        assert half_times_q_ratio(half, f.degree, m, over) == full[:(len(full) + 1) // 2]
 
 
 def test_q_binomial_pascal_recurrence_holds_exactly():

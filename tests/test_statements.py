@@ -6,6 +6,7 @@ import math
 
 import pytest
 from conftest import expansion_sum, list_add, list_mul, list_shift, qbinom_pascal
+from hypothesis import given, strategies as hst
 
 import qcong.statements as statements
 from qcong.congruence import CongruenceContext
@@ -419,11 +420,12 @@ def test_jacobsthal_q_exponent_is_the_gap_valuation_capped_at_five(monkeypatch, 
     # the real gaps all have valuation 3 on the catalog's grid, so feed gaps
     # of known valuation: ([p]_q)^j times the unit q + 2
     monkeypatch.setattr(statements, "_ljunggren_gap",
-                        lambda p, a, b: modulus(p, j) * Poly([2, 1]))
+                        lambda p, a, b, k: modulus(p, j) * Poly([2, 1]))
     assert check_jacobsthal(p, 2, 1).params["q_exponent"] == min(j, 5)
 
 
-def test_jacobsthal_reduces_its_gap_once(monkeypatch):
+def _count_reduces(monkeypatch) -> list[int]:
+    """Patch CongruenceContext.reduce to log each call's k into the returned list."""
     calls = []
     reduce = CongruenceContext.reduce
 
@@ -432,8 +434,60 @@ def test_jacobsthal_reduces_its_gap_once(monkeypatch):
         return reduce(self, a)
 
     monkeypatch.setattr(CongruenceContext, "reduce", counted_reduce)
+    return calls
+
+
+def test_jacobsthal_reduces_its_gap_once(monkeypatch):
+    # cold, C_q(ap, bp)'s cached residue is one reduce and the short gap
+    # another; warm, only the gap is reduced
+    calls = _count_reduces(monkeypatch)
+    statements._binomial_residue.cache_clear()
+    assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
+    assert calls == [5, 5]
+    calls.clear()
     assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
     assert calls == [5]
+
+
+def test_a_failing_shipan_part_reduces_as_often_as_a_passing_one(monkeypatch):
+    # every Shi-Pan right side off by one fails both parts; a residue costs
+    # the same two reduces (r, then num - r * den) whether it is zero or not
+    assert check_shipan(7).passed
+    calls = _count_reduces(monkeypatch)
+    assert check_shipan(7).passed
+    passing = len(calls)
+    calls.clear()
+    monkeypatch.setattr(statements, "_exact_scalar", lambda n, d: n // d + 1)
+    failed = check_shipan(7)
+    assert (failed.params["harmonic1_ok"], failed.params["harmonic2_ok"]) == (0, 0)
+    assert len(calls) == passing == 8
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_binomial_residues_keep_the_binomial_at_q_one(p):
+    # M(1) = p^k, so every cached residue R of C_q(ap, bp) has
+    # R(1) = binom(ap, bp) mod p^k; math.comb shares no code with the kernels
+    for a in range(6):
+        for b in range(a // 2 + 1):
+            for k in range(1, 6):
+                r = statements._binomial_residue(p, a, b, k)
+                assert (r.eval_at_one() - math.comb(a * p, b * p)) % p ** k == 0, (a, b, k)
+
+
+@given(
+    p=hst.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]),
+    ab=hst.integers(0, 5).flatmap(lambda a: hst.tuples(hst.just(a), hst.integers(0, a))),
+    k=hst.integers(1, 5),
+    scale=hst.integers(-3, 3),
+)
+def test_binomial_gap_reduces_like_the_full_gap(p, ab, k, scale):
+    # the short gap against C_q(ap, bp) - C_{q^(p^2)}(a, b) - correction built
+    # at full size, with a multiple of the Ljunggren correction: FAILs included
+    a, b = ab
+    corr = scale * (Poly.monomial(p) - 1) ** 2
+    full = q_binomial(a * p, b * p) - q_binomial(a, b).substitute_power(p * p) - corr
+    ctx = CongruenceContext(p, k)
+    assert ctx.reduce(statements._binomial_gap(p, a, b, k, corr)) == ctx.reduce(full)
 
 
 @pytest.mark.parametrize("check,count", [
@@ -441,16 +495,9 @@ def test_jacobsthal_reduces_its_gap_once(monkeypatch):
 ])
 def test_passing_fraction_checks_reduce_r_once(monkeypatch, check, count):
     # warm: the harmonic sums are cached, so only the checks' own reduces count;
-    # a passing _frac_residue leaves reducing r to frac_congruent
+    # CongruenceContext.frac_residue reduces r once
     assert check(7).passed
-    calls = []
-    reduce = CongruenceContext.reduce
-
-    def counted_reduce(self, a):
-        calls.append(self.k)
-        return reduce(self, a)
-
-    monkeypatch.setattr(CongruenceContext, "reduce", counted_reduce)
+    calls = _count_reduces(monkeypatch)
     assert check(7).passed
     assert len(calls) == count
 
