@@ -31,7 +31,6 @@ from .statements import (
     BudgetExceededError,
     CheckResult,
     PrecondViolationError,
-    binom,
     check_clark,
     check_classical,
     check_cong2,
@@ -59,7 +58,6 @@ __all__ = [
     "NotPrimeError",
     "Poly",
     "STATEMENT_IDS",
-    "binom",
     "check_clark",
     "check_classical",
     "check_cong2",

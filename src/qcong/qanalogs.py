@@ -9,7 +9,7 @@ Gaussian binomials and moduli are cached, since every statement reuses them.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce as fold
+import functools
 
 from .poly import Poly, half_times_q_ratio
 
@@ -38,7 +38,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def q_number(n: int) -> Poly:
     """The q-integer [n]_q = 1 + q + ... + q^(n-1); [0]_q = 0."""
     if n < 0:
@@ -46,7 +46,7 @@ def q_number(n: int) -> Poly:
     return Poly([1] * n)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> Poly:
     """The Gaussian binomial coefficient, an integer polynomial of degree
     k(n-k) with nonnegative coefficients.
@@ -72,7 +72,7 @@ def q_binomial(n: int, k: int) -> Poly:
     return Poly(half + half[:(degree + 1) // 2][::-1])
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def modulus(p: int, k: int) -> Poly:
     """The congruence modulus ([p]_q)^k, monic of degree k(p-1), by prefix sums;
     cached, so every CongruenceContext with the same (p, k) shares one build."""
@@ -80,5 +80,5 @@ def modulus(p: int, k: int) -> Poly:
         raise NotPrimeError(f"modulus requires a prime, got {p}")
     if k < 1:
         raise ValueError(f"modulus exponent must be >= 1, got {k}")
-    return fold(Poly.times_q_number, [p] * k, Poly((1,)))
+    return functools.reduce(Poly.times_q_number, [p] * k, Poly((1,)))
 

@@ -9,9 +9,9 @@ The one exception is check_classical, which accepts p = 3 so the known
 failure of the mod-p^3 congruence there can serve as a negative control.
 A compound check (shipan, power_reduction, classical) has one 0/1 flag
 per part in its params, and the residue of its first failing part.
-The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme and
-jacobsthal's q_exponent) share C_q(ap, bp)'s residue, reduced once per
-(p, a, min(b, a-b), k) and cached.
+The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme,
+jacobsthal's q_exponent and power_reduction's central binomial) share
+C_q(ap, bp)'s residue, reduced once per (p, a, min(b, a-b), k) and cached.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 from .congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from .poly import Poly
@@ -55,17 +55,6 @@ class CheckResult:
     @property
     def witness(self) -> Poly | None:
         return None if self.passed else self.residue
-
-
-def binom(n: int, k: int) -> int:
-    """Integer binomial coefficient, in exact big integers; 0 unless 0 <= k <= n.
-
-    Kept independent of the q-binomial construction so that q = 1
-    specializations are checked against a separately computed value.
-    """
-    if n < 0:
-        raise ValueError(f"binom needs n >= 0, got {n}")
-    return comb(n, k) if k >= 0 else 0
 
 
 def _require_prime(p: int, statement: str, minimum: int = 2) -> None:
@@ -130,16 +119,15 @@ def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Pol
 def _ljunggren_gap(p: int, a: int, b: int, k: int) -> Poly:
     """Left side minus right side of check_q_ljunggren's congruence modulo
     ([p]_q)^k, as _binomial_gap's short representative."""
-    corr = binom(a, b + 1) * binom(b + 1, 2) * _exact_scalar(p * p - 1, 12)
+    corr = comb(a, b + 1) * comb(b + 1, 2) * _exact_scalar(p * p - 1, 12)
     return _binomial_gap(p, a, b, k, -corr * _qp_minus_one(p) ** 2)
 
 
-def _chu_sum(m: int, n: int, k: int, right: Callable[[int], Poly],
-             js: Iterable[int] | None = None) -> Poly:
-    """Sum over j in js of C_q(m, j) right(k-j) q^(j(n-k+j)), as exact Poly products;
-    js defaults to every j with 0 <= j <= m and 0 <= k-j <= n.  With right =
-    C_q(n, .) over that default the sum is C_q(m+n, k), the q-Chu-Vandermonde sum."""
-    js = range(max(0, k - n), min(m, k) + 1) if js is None else js
+def _chu_sum(m: int, n: int, k: int, right: Callable[[int], Poly]) -> Poly:
+    """Sum of C_q(m, j) right(k-j) q^(j(n-k+j)) over every j with 0 <= j <= m and
+    0 <= k-j <= n, as exact Poly products.  With right = C_q(n, .) the sum is
+    C_q(m+n, k), the q-Chu-Vandermonde sum."""
+    js = range(max(0, k - n), min(m, k) + 1)
     return sum(((q_binomial(m, j) * right(k - j)).shift(j * (n - k + j)) for j in js), Poly())
 
 
@@ -176,7 +164,7 @@ def check_expansion_identity(
     layer = {0: Poly((1,))}
     for i in range(a):
         reachable = range(max(0, target - (a - 1 - i) * p), min(target, (i + 1) * p) + 1)
-        # for each such t, _chu_sum's default j range reads exactly the keys of layer
+        # for each such t, _chu_sum's j range reads exactly the keys of layer
         layer = {t: _chu_sum(p, i * p, t, layer.__getitem__) for t in reachable}
     return CheckResult({"p": p, "a": a, "b": b}, q_binomial(a * p, b * p) - layer[target])
 
@@ -187,13 +175,13 @@ def check_convolution_identity(p: int) -> CheckResult:
         sum_{d=1..p-1} C_q(p, d) C_q(p, p-d) q^(d^2)
             = C_q(2p, p) - (1 + q^(p^2)),
 
-    exact for every prime p >= 2: check_qchu at m = n = k = p without the
-    d = 0 and d = p terms.
+    exact for every prime p >= 2: check_qchu at m = n = k = p, whose d = 0
+    and d = p terms are exactly 1 and q^(p^2), so the full sum minus
+    C_q(2p, p) is this identity's difference.
     """
     _require_prime(p, "convolution")
-    lhs = _chu_sum(p, p, p, partial(q_binomial, p), range(1, p))
-    rhs = q_binomial(2 * p, p) - _two_power(p)
-    return CheckResult({"p": p}, lhs - rhs)
+    lhs = _chu_sum(p, p, p, partial(q_binomial, p))
+    return CheckResult({"p": p}, lhs - q_binomial(2 * p, p))
 
 
 def check_clark(p: int, a: int, b: int, k: int = 2) -> CheckResult:
@@ -229,7 +217,7 @@ def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
     _require_prime(p, "cong2", minimum=5)
     _require(0 <= b <= a, f"cong2 needs 0 <= b <= a, got a={a}, b={b}")
     # C_q(2p, p) - (1 + q^(p^2)) is the gap at (a, b) = (2, 1)
-    correction = binom(a, b + 1) * binom(b + 1, 2) * _binomial_gap(p, 2, 1, k, 0)
+    correction = comb(a, b + 1) * comb(b + 1, 2) * _binomial_gap(p, 2, 1, k, 0)
     diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, k, correction))
     return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
@@ -295,10 +283,11 @@ def check_power_reduction(p: int) -> CheckResult:
     (iii) 1 + q^(p^2) = 2 + p(q^p - 1) + ((p-1)p/2)(q^p - 1)^2.
 
     (i) is cleared over dh_den, a representative of h1_den^2 modulo M.
+    C_q(2p, p) is the binomial congruences' shared residue.
     """
     _require_prime(p, "power_reduction", minimum=5)
     ctx = CongruenceContext(p, 3)
-    central = q_binomial(2 * p, p)
+    central = _binomial_residue(p, 2, 1, 3)
     h1_num, h1_den = q_harmonic_sum(ctx, 1)
     dh_num, dh_den = q_double_harmonic(ctx)
     num = (
@@ -332,7 +321,7 @@ def check_classical(p: int, a: int, b: int) -> CheckResult:
     """
     _require_prime(p, "classical")
     _require(0 <= b <= a, f"classical needs 0 <= b <= a, got a={a}, b={b}")
-    binom_res = (binom(a * p, b * p) - binom(a, b)) % p ** 3
+    binom_res = (comb(a * p, b * p) - comb(a, b)) % p ** 3
 
     fact = factorial(p - 1)
     h1 = sum(fact // i for i in range(1, p)) % p ** 2
@@ -360,12 +349,12 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
     """
     _require_prime(p, "jacobsthal", minimum=5)
     _require(0 < b < a, f"jacobsthal needs 0 < b < a, got a={a}, b={b}")
-    value = a * b * (a - b) * binom(a, b)
+    value = a * b * (a - b) * comb(a, b)
     r = 0
     while value % p ** (r + 1) == 0:
         r += 1
-    residue = (binom(a * p, b * p) - binom(a, b)) % p ** (3 + r)
-    identity_gap = value - 2 * a * binom(a, b + 1) * binom(b + 1, 2)
+    residue = (comb(a * p, b * p) - comb(a, b)) % p ** (3 + r)
+    identity_gap = value - 2 * a * comb(a, b + 1) * comb(b + 1, 2)
     q_exponent = CongruenceContext(p, 5).valuation(_ljunggren_gap(p, a, b, 5))
     return CheckResult(
         {"p": p, "a": a, "b": b, "r": r, "q_exponent": q_exponent},

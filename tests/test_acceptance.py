@@ -10,6 +10,7 @@ anywhere.
 from __future__ import annotations
 
 import random
+from math import comb
 from time import perf_counter
 
 from conftest import qbinom_pascal
@@ -19,7 +20,6 @@ from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial
 from qcong.statements import (
     CheckResult,
-    binom,
     check_clark,
     check_convolution_identity,
     check_expansion_identity,
@@ -55,7 +55,7 @@ def test_criterion_01_central_binomial_p13():
 
 def test_criterion_02_q_equals_one_bridge():
     ok1 = q_binomial(26, 13).eval_at_one() % 13**3 == 2
-    ok2 = binom(10, 5) == 252 and 252 % 125 == 2
+    ok2 = comb(10, 5) == 252 and 252 % 125 == 2
     _verdict("02", "q=1 bridge: binom(26,13) = 2 mod 13^3 and binom(10,5) = 2 mod 125",
              ok1 and ok2)
 
@@ -136,7 +136,7 @@ def test_criterion_08a_congruence_checker_is_not_trivially_true():
 
 
 def test_criterion_08b_classical_control_at_p3():
-    ok = binom(6, 3) == 20 and (20 - 2) % 27 != 0
+    ok = comb(6, 3) == 20 and (20 - 2) % 27 != 0
     _verdict("08b", "binom(6,3) = 20 is NOT congruent to 2 mod 27", ok)
 
 
@@ -175,9 +175,9 @@ def test_criterion_09_jacobsthal_sharpening():
         and res.passed
         and res.witness is None
     )
-    ok_values = binom(25, 5) == 53130 and 53130 % 5**5 == 5 and 53130 - 5 == 17 * 3125
+    ok_values = comb(25, 5) == 53130 and 53130 % 5**5 == 5 and 53130 - 5 == 17 * 3125
     ok_identity = all(
-        a * b * (a - b) * binom(a, b) == 2 * a * binom(a, b + 1) * binom(b + 1, 2)
+        a * b * (a - b) * comb(a, b) == 2 * a * comb(a, b + 1) * comb(b + 1, 2)
         for a in range(1, 21)
         for b in range(1, a)
     )

@@ -9,7 +9,7 @@ from conftest import expansion_sum, list_add, list_mul, list_shift, qbinom_pasca
 from hypothesis import given, strategies as hst
 
 import qcong.statements as statements
-from qcong.congruence import CongruenceContext
+from qcong.congruence import CongruenceContext, q_double_harmonic
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial, q_number
 from qcong.statements import (
@@ -17,7 +17,6 @@ from qcong.statements import (
     BudgetExceededError,
     CheckResult,
     PrecondViolationError,
-    binom,
     check_clark,
     check_classical,
     check_cong2,
@@ -36,13 +35,6 @@ from qcong.statements import (
 def test_catalog_is_sorted_and_fixed():
     assert list(STATEMENT_IDS) == sorted(STATEMENT_IDS)
     assert len(set(STATEMENT_IDS)) == 12
-
-
-def test_binom_matches_math_comb():
-    for n in range(40):
-        for k in range(-1, n + 2):
-            expected = math.comb(n, k) if 0 <= k <= n else 0
-            assert binom(n, k) == expected
 
 
 def test_check_result_verdict_follows_the_residue():
@@ -336,13 +328,70 @@ def test_power_reduction_rejects_p3():
         check_power_reduction(3)
 
 
+def _binomial_congruences(p: int):
+    """Every instance of the six checks that read C_q(ap, bp)'s cached residue,
+    at p with a <= 4, as (check, args) pairs."""
+    yield check_q_wolstenholme, (p,)
+    yield check_power_reduction, (p,)
+    for a in range(5):
+        for b in range(a + 1):
+            for check in (check_clark, check_cong2, check_q_ljunggren):
+                yield check, (p, a, b)
+            if 0 < b < a:
+                yield check_jacobsthal, (p, a, b)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_binomial_congruences_build_no_large_binomial_once_warm(monkeypatch, p):
+    # once the shared residues are cached, only _binomial_gap's small right
+    # side C_q(a, b), a <= 4 < p, may still be built
+    warm = [check(*args) for check, args in _binomial_congruences(p)]
+    real = statements.q_binomial
+
+    def small_only(n: int, k: int) -> Poly:
+        if n >= p:
+            raise AssertionError(f"C_q({n}, {k}) built outside the shared cache")
+        return real(n, k)
+
+    monkeypatch.setattr(statements, "q_binomial", small_only)
+    assert [check(*args) for check, args in _binomial_congruences(p)] == warm
+
+
+@pytest.fixture
+def cold_binomial_residues():
+    """Clear the shared residues before and after a test that fakes their builds."""
+    statements._binomial_residue.cache_clear()
+    yield
+    statements._binomial_residue.cache_clear()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_a_faked_central_binomial_fails_as_the_peeled_formulas_say(
+    monkeypatch, cold_binomial_residues, p
+):
+    # C_q(2p, p) + q^3: the peeled convolution left minus C_q(2p, p) - (1 + q^(p^2))
+    # is -q^3, and power_reduction's first two parts fail with the third intact,
+    # the first with the residue of -q^3 cleared over dh_den
+    real = statements.q_binomial
+    bump = {(2 * p, p): Poly.monomial(3)}
+    monkeypatch.setattr(statements, "q_binomial", lambda n, k: real(n, k) + bump.get((n, k), 0))
+    assert check_convolution_identity(p).residue == -Poly.monomial(3)
+    res = check_power_reduction(p)
+    assert list(res.params.items()) == [
+        ("p", p), ("harmonic_form_ok", 0), ("central_reduction_ok", 0), ("two_power_ok", 1),
+    ]
+    ctx = CongruenceContext(p, 3)
+    _, dh_den = q_double_harmonic(ctx)
+    assert res.residue == ctx.reduce(-Poly.monomial(3) * dh_den)
+
+
 # --- the integer layer ------------------------------------------------------
 
 
 def test_classical_p5():
     res = check_classical(5, 2, 1)
     assert res.passed
-    assert binom(10, 5) - binom(2, 1) == 250
+    assert math.comb(10, 5) - math.comb(2, 1) == 250
 
 
 def test_classical_p13():
@@ -353,7 +402,7 @@ def test_classical_p3_is_the_negative_control():
     res = check_classical(3, 2, 1)
     assert not res.passed
     assert res.params["binom_ok"] == 0
-    assert binom(6, 3) % 27 == 20
+    assert math.comb(6, 3) % 27 == 20
     assert res.witness == Poly([18])
 
 
@@ -386,7 +435,7 @@ def test_jacobsthal_5_5_1():
     assert isinstance(res, CheckResult)
     assert res.params["r"] == 2
     assert res.passed and res.witness is None
-    assert binom(25, 5) == 53130
+    assert math.comb(25, 5) == 53130
     assert (53130 - 5) == 17 * 3125
 
 
@@ -404,7 +453,7 @@ def test_jacobsthal_7_7_2():
     assert isinstance(res, CheckResult)
     assert res.params["r"] == 2
     assert res.passed and res.witness is None
-    assert (binom(49, 14) - binom(7, 2)) % 7**5 == 0
+    assert (math.comb(49, 14) - math.comb(7, 2)) % 7**5 == 0
 
 
 def test_jacobsthal_q_exponent_is_at_least_three():
@@ -514,9 +563,8 @@ def test_jacobsthal_validation():
 def test_jacobsthal_identity_holds_generally():
     for a in range(1, 21):
         for b in range(1, a):
-            assert a * b * (a - b) * binom(a, b) == 2 * a * binom(a, b + 1) * binom(
-                b + 1, 2
-            )
+            lhs = a * b * (a - b) * math.comb(a, b)
+            assert lhs == 2 * a * math.comb(a, b + 1) * math.comb(b + 1, 2)
 
 
 def test_witness_reports_the_reduced_difference():
