@@ -19,7 +19,6 @@ from .poly import (
     gcd_primitive,
 )
 from .qanalogs import (
-    InternalNonDivisibleError,
     NotPrimeError,
     is_prime,
     modulus,
@@ -52,7 +51,6 @@ __all__ = [
     "CheckResult",
     "CongruenceContext",
     "DenominatorNotUnitError",
-    "InternalNonDivisibleError",
     "NonMonicDivisorError",
     "NotDivisibleError",
     "NotPrimeError",

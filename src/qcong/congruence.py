@@ -24,17 +24,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import comb
 from typing import Callable
 
-from .poly import Poly
-from .qanalogs import InternalNonDivisibleError, modulus, q_number
-
-
-#: Above this many blocks of p coefficients beyond the k that fold keeps, the
-#: stride sums of Poly.taylor_fold beat the block loop (break-even at about 6-10
-#: blocks for p in 5..31 and k in 3..5).
-FOLD_BLOCK_CUTOFF = 8
+from .poly import NotDivisibleError, Poly
+from .qanalogs import modulus, q_number
 
 
 class DenominatorNotUnitError(ValueError):
@@ -53,39 +46,14 @@ class CongruenceContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "modulus", modulus(self.p, self.k))
 
-    def fold(self, a: Poly) -> Poly:
-        """a folded modulo (q^p - 1)^k = (1 - q)^k ([p]_q)^k, to at most kp
-        coefficients.
-
-        That modulus has k + 1 terms, all at multiples of p, so a is folded a
-        block of p coefficients at a time; when more than FOLD_BLOCK_CUTOFF
-        blocks lie above the k kept, Poly.taylor_fold's stride sums return the
-        same remainder faster.  The result keeps a's class modulo ([p]_q)^k
-        and its value at q = 1, where q^p - 1 vanishes; it is not canonical.
-        """
-        p, k = self.p, self.k
-        if len(a.coeffs) <= k * p:
-            return a
-        if len(a.coeffs) > (k + FOLD_BLOCK_CUTOFF) * p:
-            return a.taylor_fold(p, k)
-        r = list(a.coeffs)
-        r += [0] * (-len(r) % p)
-        blocks = [r[i:i + p] for i in range(0, len(r), p)]
-        terms = [(j, (-1) ** (k - j) * comb(k, j)) for j in range(k)]
-        for s in reversed(range(len(blocks) - k)):
-            top = blocks[s + k]
-            for j, c in terms:
-                blocks[s + j] = [x - c * y for x, y in zip(blocks[s + j], top)]
-        return Poly([x for b in blocks[:k] for x in b])
-
     def reduce(self, a: Poly) -> Poly:
         """Canonical remainder of a modulo ([p]_q)^k; degree < k(p-1).
 
-        a is folded first, and the at most kp coefficients left are divided
-        by ([p]_q)^k.  Coefficients are not range-normalized: the degree
-        bound makes the remainder unique in Z[q].
+        a is folded modulo (q^p - 1)^k first (Poly.fold), and the at most kp
+        coefficients left are divided by ([p]_q)^k.  Coefficients are not
+        range-normalized: the degree bound makes the remainder unique in Z[q].
         """
-        return self.fold(a).divrem_monic(self.modulus)[1]
+        return a.fold(self.p, self.k).divrem_monic(self.modulus)[1]
 
     def valuation(self, f: Poly) -> int:
         """The largest j <= k such that ([p]_q)^j divides f in Z[q]: f is reduced
@@ -96,10 +64,6 @@ class CongruenceContext:
             if rem:
                 return j
         return self.k
-
-    def congruent(self, a: Poly, b: Poly) -> bool:
-        """True iff ([p]_q)^k divides a - b in Z[q]."""
-        return self.reduce(a - b).is_zero()
 
     def frac_residue(self, num: Poly, den: Poly, r: Poly) -> Poly:
         """num - r * den reduced modulo ([p]_q)^k: zero iff num/den = r.
@@ -160,7 +124,7 @@ def _harmonic_sums(p: int, k: int) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]
 
     Each step adds 1/([i]_q)^s as (num [i]^s + den, den [i]^s), multiplying
     by [i]_q with prefix sums (Poly.times_q_number), and folds both modulo
-    (q^p - 1)^k; one canonical reduce of each ends the loop.
+    (q^p - 1)^k (Poly.fold); one canonical reduce of each ends the loop.
     """
     ctx = CongruenceContext(p, k)
     pairs = []
@@ -169,7 +133,7 @@ def _harmonic_sums(p: int, k: int) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]
         for i in range(1, p):
             t_num, t_den = (functools.reduce(Poly.times_q_number, [i] * s, f)
                             for f in (num, den))
-            num, den = ctx.fold(t_num + den), ctx.fold(t_den)
+            num, den = (t_num + den).fold(p, k), t_den.fold(p, k)
         pairs.append((ctx.reduce(num), ctx.reduce(den)))
     return pairs[0], pairs[1]
 
@@ -182,5 +146,5 @@ def _double_harmonic(p: int, k: int) -> tuple[Poly, Poly]:
     (num1, _), (num2, den2) = _harmonic_sums(p, k)
     twice = CongruenceContext(p, k).reduce(num1 * num1 - num2)
     if any(c % 2 for c in twice.coeffs):
-        raise InternalNonDivisibleError(f"q_double_harmonic at p={p}: odd coefficient")
+        raise NotDivisibleError(f"q_double_harmonic at p={p}: odd coefficient")
     return Poly(c // 2 for c in twice.coeffs), den2

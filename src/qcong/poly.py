@@ -12,9 +12,14 @@ lower half of a palindrome, whose upper half it never stores.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import gcd as _int_gcd
+from math import comb, gcd as _int_gcd
 from operator import add, neg, sub
 from typing import Iterable
+
+#: Above this many blocks of p coefficients beyond the k that Poly.fold keeps,
+#: its stride sums beat its block loop (break-even at about 6-10 blocks for p
+#: in 5..31 and k in 3..5).
+FOLD_BLOCK_CUTOFF = 8
 
 
 class NonMonicDivisorError(ValueError):
@@ -63,16 +68,34 @@ class Poly:
         acc = list(accumulate(map(sub, self.coeffs + pad, pad + self.coeffs)))
         return Poly(acc[:-1])
 
-    def taylor_fold(self, p: int, k: int) -> Poly:
-        """The remainder of self modulo (q^p - 1)^k, of degree < kp, for p, k >= 1.
+    def fold(self, p: int, k: int) -> Poly:
+        """The remainder of self modulo (q^p - 1)^k = (1 - q)^k ([p]_q)^k, of
+        degree < kp, for p, k >= 1.  It keeps self's class modulo ([p]_q)^k and
+        its value at q = 1, where q^p - 1 vanishes; for ([p]_q)^k it is not
+        canonical.
 
-        In x = q^p, self is a polynomial whose coefficients are blocks of p
+        That modulus has k + 1 terms, all at multiples of p, so up to
+        FOLD_BLOCK_CUTOFF blocks of p coefficients above the k kept, self is
+        folded a block at a time.  Past that, stride sums are faster: in
+        x = q^p, self is a polynomial whose coefficients are blocks of p
         coefficients, and the remainder is sum_{j<k} E_j (x - 1)^j, with E_j
         its Taylor coefficients at x = 1.  Read top block first, round j of
         stride-p prefix sums leaves E_j as the last block, which is removed
         before the next round; Horner in x - 1 then rebuilds the remainder.
         No polynomial multiplication is made.
         """
+        if len(self.coeffs) <= k * p:
+            return self
+        if len(self.coeffs) <= (k + FOLD_BLOCK_CUTOFF) * p:
+            r = list(self.coeffs)
+            r += [0] * (-len(r) % p)
+            blocks = [r[i:i + p] for i in range(0, len(r), p)]
+            terms = [(j, (-1) ** (k - j) * comb(k, j)) for j in range(k)]
+            for s in reversed(range(len(blocks) - k)):
+                top = blocks[s + k]
+                for j, c in terms:
+                    blocks[s + j] = [x - c * y for x, y in zip(blocks[s + j], top)]
+            return Poly([x for b in blocks[:k] for x in b])
         # blocks top first, each one reversed, so the lowest block ends the list
         acc = [0] * (-len(self.coeffs) % p)
         acc += reversed(self.coeffs)

@@ -18,10 +18,6 @@ class NotPrimeError(ValueError):
     """A parameter that must be prime is composite or smaller than 2."""
 
 
-class InternalNonDivisibleError(RuntimeError):
-    """A structurally exact division failed; this indicates a kernel bug."""
-
-
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check."""
     if n < 2:

@@ -112,7 +112,7 @@ def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Pol
     canonical and Z-linear, the reduced gap is that of the full one.
     """
     lhs = _binomial_residue(p, a, min(b, a - b), k)
-    rhs = q_binomial(a, b).substitute_power(p).taylor_fold(1, k).substitute_power(p)
+    rhs = q_binomial(a, b).substitute_power(p).fold(1, k).substitute_power(p)
     return lhs - rhs - correction
 
 
@@ -247,7 +247,7 @@ def check_shipan(p: int) -> CheckResult:
     num1, den1 = q_harmonic_sum(ctx2, 1)
     rhs1 = (
         -_exact_scalar(p - 1, 2) * qm1
-        + _exact_scalar(p * p - 1, 24) * qm1 ** 2 * q_number(p)
+        + (_exact_scalar(p * p - 1, 24) * qm1 ** 2).times_q_number(p)
     )
 
     ctx1 = CongruenceContext(p, 1)

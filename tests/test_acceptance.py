@@ -131,7 +131,7 @@ def test_criterion_07_exact_identities():
 def test_criterion_08a_congruence_checker_is_not_trivially_true():
     lhs = q_binomial(10, 5)
     rhs = q_binomial(2, 1).substitute_power(25)
-    ok = not CongruenceContext(5, 3).congruent(lhs, rhs)
+    ok = not CongruenceContext(5, 3).reduce(lhs - rhs).is_zero()
     _verdict("08a", "q_binomial(10,5) is NOT congruent to 1 + q^25 mod ([5]_q)^3", ok)
 
 

@@ -1,7 +1,8 @@
 """Prefix sums are taken only in qcong.poly: by Poly.times_q_number, and by
 one stride-sum helper, _stride_sums, shared by the q-binomial step
-poly.half_times_q_ratio and the fold modulo (q^p - 1)^k, Poly.taylor_fold.
-No other module takes prefix sums or names that helper."""
+poly.half_times_q_ratio and the fold modulo (q^p - 1)^k, Poly.fold.
+No other module takes prefix sums or names that helper, and no other module
+defines a fold or the block count, FOLD_BLOCK_CUTOFF, that picks its loop."""
 
 from __future__ import annotations
 
@@ -49,5 +50,24 @@ def test_only_poly_names_the_stride_sums():
         path.name
         for path in sorted(SRC.glob("*.py"))
         if _names_stride_sums(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert users == ["poly.py"]
+
+
+def _defines_a_fold(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "fold":
+            return True
+        if (isinstance(node, ast.Name) and node.id == "FOLD_BLOCK_CUTOFF"
+                and isinstance(node.ctx, ast.Store)):
+            return True
+    return False
+
+
+def test_only_poly_defines_the_fold():
+    users = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _defines_a_fold(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert users == ["poly.py"]
