@@ -12,21 +12,21 @@ p = 5, are coprime to [p]_q yet not units.
 
 A fraction is a plain (N, D) pair, and any representatives modulo M serve:
 M(1) = p^k, so reducing D leaves D(1) mod p, and hence the unit test, as it
-was.  The q-harmonic sums are built that way, never over the full
-([p-1]_q!)^s: once per prime, modulo ([p]_q)^max(k,3), folded modulo the
-sparse (q^p - 1)^max(k,3) at each step and reduced once at the end; the
-double sum is cached beside them.  A caller with k < 3 gets the cached pair
-reduced modulo its own M, which is the same pair, since reduce is canonical
-and ([p]_q)^k divides ([p]_q)^3; so one reduce also serves valuation.
+was.  The q-harmonic sums come from one cached pass per prime, modulo
+([p]_q)^max(k,3), over the top three elementary symmetric sums e0 = [p-1]_q!,
+e1 and e2 of [1]_q..[p-1]_q: sum 1/[i]_q = e1/e0 and sum_{i<j} 1/([i]_q [j]_q)
+= e2/e0 share a denominator, and sum 1/[i]_q^2 = (e1^2 - 2 e0 e2)/e0^2 by
+Newton's identity.  A caller with k < 3 gets the sums it reads reduced modulo
+its own M, which are the same, since reduce is canonical and ([p]_q)^k
+divides ([p]_q)^3; so one reduce also serves valuation.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .poly import NotDivisibleError, Poly
+from .poly import Poly
 from .qanalogs import modulus, q_number
 
 
@@ -90,61 +90,48 @@ class CongruenceContext:
 
 def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
     """The sum of 1/([i]_q)^s for i = 1..p-1 as a pair (num, den), both
-    reduced modulo ctx's ([p]_q)^k.
-
-    den is ([p-1]_q!)^s and num sums the cofactors ([p-1]_q!)^s / ([i]_q)^s,
-    so the pair is the full-size one reduced.
+    reduced modulo ctx's ([p]_q)^k: den is ([p-1]_q!)^s and num sums the
+    cofactors ([p-1]_q!)^s / ([i]_q)^s, so the pair is the full-size one
+    reduced.  It is (e1, e0) for s = 1 and (e1^2 - 2 e0 e2, e0^2) for s = 2,
+    whose three products are the only general ones of the harmonic sums.
     """
     if s not in (1, 2):
         raise ValueError(f"harmonic power must be 1 or 2, got {s}")
-    return _look_up(ctx, lambda p, k: _harmonic_sums(p, k)[s - 1])
+    if s == 1:
+        e0, e1 = _look_up(ctx, 0, 1)
+        return e1, e0
+    e0, e1, e2 = _look_up(ctx, 0, 1, 2)
+    cross = e0 * e2
+    return ctx.reduce(e1 * e1 - cross - cross), ctx.reduce(e0 * e0)
 
 
 def q_double_harmonic(ctx: CongruenceContext) -> tuple[Poly, Poly]:
-    """The sum of 1/([i]_q [j]_q) over 1 <= i < j <= p-1 as a pair
-    (num, den), both reduced modulo ctx's ([p]_q)^k; den is that of the
-    single sum with s = 2, a representative of ([p-1]_q!)^2.
-    """
-    return _look_up(ctx, _double_harmonic)
+    """The sum of 1/([i]_q [j]_q) over 1 <= i < j <= p-1 as the pair (e2, e0),
+    reduced modulo ctx's ([p]_q)^k: over [p-1]_q!, like the sum with s = 1."""
+    e0, e2 = _look_up(ctx, 0, 2)
+    return e2, e0
 
 
-def _look_up(ctx: CongruenceContext, fill: Callable) -> tuple[Poly, Poly]:
-    """fill's pair, cached per (p, max(k, 3)), reduced again when k < 3: the
-    same pair as one built modulo ctx's M, since reduce is canonical and
-    ([p]_q)^k divides ([p]_q)^3."""
+def _look_up(ctx: CongruenceContext, *which: int) -> list[Poly]:
+    """The sums e_j for j in which, cached per (p, max(k, 3)) and reduced
+    again when k < 3: the same sums as ones built modulo ctx's M, since
+    reduce is canonical and ([p]_q)^k divides ([p]_q)^3."""
     if ctx.p < 3:
         raise ValueError(f"q-harmonic sums need a prime p >= 3, got {ctx.p}")
-    num, den = fill(ctx.p, max(ctx.k, 3))
-    return (ctx.reduce(num), ctx.reduce(den)) if ctx.k < 3 else (num, den)
+    sums = [_harmonic_sums(ctx.p, max(ctx.k, 3))[j] for j in which]
+    return [ctx.reduce(e) for e in sums] if ctx.k < 3 else sums
 
 
 @functools.lru_cache(maxsize=None)
-def _harmonic_sums(p: int, k: int) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]]:
-    """q_harmonic_sum's pairs for s = 1 and s = 2 modulo ([p]_q)^k.
+def _harmonic_sums(p: int, k: int) -> tuple[Poly, ...]:
+    """(e0, e1, e2) modulo ([p]_q)^k: the coefficients of t^0, t^1 and t^2 in
+    the product of t + [i]_q over i = 1..p-1.
 
-    Each step adds 1/([i]_q)^s as (num [i]^s + den, den [i]^s), multiplying
-    by [i]_q with prefix sums (Poly.times_q_number), and folds both modulo
-    (q^p - 1)^k (Poly.fold); one canonical reduce of each ends the loop.
+    Step i sets e_j <- e_j [i]_q + e_(j-1), multiplying by [i]_q with prefix
+    sums (Poly.times_q_number) and folding modulo (q^p - 1)^k (Poly.fold);
+    one canonical reduce of each ends the loop.
     """
-    ctx = CongruenceContext(p, k)
-    pairs = []
-    for s in (1, 2):
-        num, den = Poly(), Poly((1,))
-        for i in range(1, p):
-            t_num, t_den = (functools.reduce(Poly.times_q_number, [i] * s, f)
-                            for f in (num, den))
-            num, den = (t_num + den).fold(p, k), t_den.fold(p, k)
-        pairs.append((ctx.reduce(num), ctx.reduce(den)))
-    return pairs[0], pairs[1]
-
-
-@functools.lru_cache(maxsize=None)
-def _double_harmonic(p: int, k: int) -> tuple[Poly, Poly]:
-    """q_double_harmonic's pair modulo ([p]_q)^k: ((sum x_i)^2 - sum x_i^2) / 2
-    with x_i = 1/[i]_q, over the s = 2 denominator, from _harmonic_sums(p, k).
-    The halving is exact before reduction, and reduce is Z-linear."""
-    (num1, _), (num2, den2) = _harmonic_sums(p, k)
-    twice = CongruenceContext(p, k).reduce(num1 * num1 - num2)
-    if any(c % 2 for c in twice.coeffs):
-        raise NotDivisibleError(f"q_double_harmonic at p={p}: odd coefficient")
-    return Poly(c // 2 for c in twice.coeffs), den2
+    e = [Poly((1,)), Poly(), Poly()]
+    for i in range(1, p):
+        e = [(f.times_q_number(i) + g).fold(p, k) for f, g in zip(e, [0, *e])]
+    return tuple(map(CongruenceContext(p, k).reduce, e))

@@ -282,27 +282,29 @@ def check_power_reduction(p: int) -> CheckResult:
     (ii)  C_q(2p, p)  = 2 + p(q^p - 1) + ((p-1)(5p-1)/12)(q^p - 1)^2;
     (iii) 1 + q^(p^2) = 2 + p(q^p - 1) + ((p-1)p/2)(q^p - 1)^2.
 
-    (i) is cleared over dh_den, a representative of h1_den^2 modulo M.
-    C_q(2p, p) is the binomial congruences' shared residue.
+    (i) is cleared over den = [p-1]_q!, the denominator that H1 and H2'
+    share, so its only general product is C_q(2p, p) times den.  C_q(2p, p)
+    is the binomial congruences' shared residue.
     """
     _require_prime(p, "power_reduction", minimum=5)
     ctx = CongruenceContext(p, 3)
     central = _binomial_residue(p, 2, 1, 3)
-    h1_num, h1_den = q_harmonic_sum(ctx, 1)
-    dh_num, dh_den = q_double_harmonic(ctx)
+    h1_num, den = q_harmonic_sum(ctx, 1)
+    dh_num, _ = q_double_harmonic(ctx)
     num = (
-        dh_den.shift(p * (p - 1))
-        + (h1_num * h1_den).times_q_number(p).shift(p * (p - 2))
+        den.shift(p * (p - 1))
+        + h1_num.times_q_number(p).shift(p * (p - 2))
         + dh_num.times_q_number(p).times_q_number(p).shift(p * (p - 3))
     )
     num = num + num.shift(p)  # times 1 + q^p
 
     qp1 = _qp_minus_one(p)
-    rhs2 = 2 + p * qp1 + _exact_scalar((p - 1) * (5 * p - 1), 12) * qp1 ** 2
-    rhs3 = 2 + p * qp1 + _exact_scalar((p - 1) * p, 2) * qp1 ** 2
+    qp1_squared = Poly((1, -2, 1)).substitute_power(p)
+    rhs2 = 2 + p * qp1 + _exact_scalar((p - 1) * (5 * p - 1), 12) * qp1_squared
+    rhs3 = 2 + p * qp1 + _exact_scalar((p - 1) * p, 2) * qp1_squared
     return _parts(
         {"p": p},
-        harmonic_form_ok=ctx.frac_residue(num, dh_den, central),
+        harmonic_form_ok=ctx.frac_residue(num, den, central),
         central_reduction_ok=ctx.reduce(central - rhs2),
         two_power_ok=ctx.reduce(_two_power(p) - rhs3),
     )

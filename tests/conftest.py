@@ -10,15 +10,17 @@ so agreement with the package's construction (a product of
 prefix sums) is a genuine cross-check rather than a tautology.  The
 q-factorial oracle is the product of q-numbers, multiplied out the same way.
 
-The q-harmonic oracles are the full-size sums over ([p-1]_q!)^s, from the
-definition: each numerator sums the cofactors [p-1]_q! / [i]_q (squared,
-or multiplied in pairs i < j) as coefficient lists.  The package keeps the
-sums reduced modulo ([p]_q)^k and builds the double sum from the single
-ones, so neither shortcut is shared with the oracle.  The per-k oracle is
-the direct loop the package's cache replaced: one sum for each (p, k, s),
-reduced at every step by plain monic division by ([p]_q)^k, with no fold
-modulo (q^p - 1)^k; it stays cheap up to p = 61.  Its double sum halves
-((sum 1/[i])^2 - sum 1/[i]^2) built from those per-k single sums.
+The q-harmonic oracles are the full-size sums from the definition: each
+single-sum numerator sums the cofactors [p-1]_q! / [i]_q (squared for s = 2)
+over ([p-1]_q!)^s, and the double sum adds up, over i < j, the product of
+[l]_q for l outside {i, j}, over [p-1]_q!; all are multiplied out as
+coefficient lists.  The package builds elementary symmetric sums folded
+modulo (q^p - 1)^k and gets the square sum by Newton's identity, so neither
+shortcut is shared with the oracle.  The per-k oracles are direct loops with
+no fold modulo (q^p - 1)^k, reduced at every step by plain monic division by
+([p]_q)^k: one sum for each (p, k, s), and for the double sum the recurrence
+num <- num [i] + (partial H1 numerator), den <- den [i]; they stay cheap up
+to p = 61.
 
 The expansion oracle enumerates every composition c_1+...+c_a = bp with
 0 <= c_i <= p and adds up prod C_q(p, c_i) q^(p*sum (i-1)c_i - sum_{i<j} c_i c_j)
@@ -157,13 +159,12 @@ def q_harmonic_full(p: int, s: int) -> tuple[Poly, Poly]:
 @lru_cache(maxsize=None)
 def q_double_harmonic_full(p: int) -> tuple[Poly, Poly]:
     """Oracle sum of 1/([i]_q [j]_q), 1 <= i < j <= p-1, as (num, den) over
-    ([p-1]_q!)^2."""
-    cof = _cofactors(p)
+    [p-1]_q!."""
     num: list[int] = []
-    for j in range(len(cof)):
-        for i in range(j):
-            num = list_add(num, list_mul(cof[i], cof[j]))
-    return Poly(num), Poly(q_product(range(1, p), 2))
+    for j in range(1, p):
+        for i in range(1, j):
+            num = list_add(num, q_product(l for l in range(1, p) if l not in (i, j)))
+    return Poly(num), q_factorial(p - 1)
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +182,18 @@ def q_harmonic_per_k(p: int, k: int, s: int) -> tuple[Poly, Poly]:
 
 
 def q_double_harmonic_per_k(p: int, k: int) -> tuple[Poly, Poly]:
-    """Oracle sum of 1/([i]_q [j]_q), i < j, as (num, den) from the per-k
-    single sums: num halves (num1^2 - num2) divided by ([p]_q)^k."""
-    (num1, _), (num2, den2) = (q_harmonic_per_k(p, k, s) for s in (1, 2))
-    twice = (num1 * num1 - num2).divrem_monic(modulus(p, k))[1]
-    assert all(c % 2 == 0 for c in twice.coeffs)
-    return Poly([c // 2 for c in twice.coeffs]), den2
+    """Oracle sum of 1/([i]_q [j]_q), i < j, as (num, den) over [p-1]_q!,
+    with num, the partial H1 numerator h and den divided by ([p]_q)^k after
+    every step: adding [i]_q to the product turns num/den into
+    (num [i] + h)/(den [i]), and h/den into (h [i] + den)/(den [i])."""
+    m = modulus(p, k)
+    num, h, den = Poly(), Poly(), Poly((1,))
+    for i in range(1, p):
+        num, h, den = (
+            (f.times_q_number(i) + g).divrem_monic(m)[1]
+            for f, g in ((num, h), (h, den), (den, Poly()))
+        )
+    return num, den
 
 
 def valuation_per_k(p: int, cap: int, f: Poly) -> int:

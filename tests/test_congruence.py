@@ -16,7 +16,7 @@ from qcong.congruence import (
     q_double_harmonic,
     q_harmonic_sum,
 )
-from qcong.poly import FOLD_BLOCK_CUTOFF, NotDivisibleError, Poly
+from qcong.poly import FOLD_BLOCK_CUTOFF, Poly
 from qcong.qanalogs import NotPrimeError, is_prime, modulus, q_binomial, q_number
 
 # Remainder of q_binomial(10, 5) modulo ([5]_q)^3, computed independently
@@ -263,10 +263,10 @@ def test_double_harmonic_p5_congruence():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_double_harmonic_vs_square_identity(p):
-    # q_double_harmonic is built as ((sum x_i)^2 - sum x_i^2)/2 over the square
-    # of H1's denominator; check it against sympy's exact sum over i < j.
-    # With k = p - 1, k(p-1) exceeds deg ([p-1]_q!)^2 = (p-1)(p-2), so reduce
-    # is the identity and the sums are the full-size ones.
+    # q_double_harmonic is e2/e0, over H1's denominator [p-1]_q!; check it
+    # against sympy's exact sum over i < j.  With k = p - 1, k(p-1) exceeds
+    # deg [p-1]_q! = (p-1)(p-2)/2, so reduce is the identity and the sums
+    # are the full-size ones.
     sympy = pytest.importorskip("sympy")
     field, q = sympy.field("q", sympy.QQ)
 
@@ -278,7 +278,7 @@ def test_double_harmonic_vs_square_identity(p):
     ctx = CongruenceContext(p, p - 1)
     num, den = q_double_harmonic(ctx)
     assert frac(num) == exact * frac(den)
-    assert den == q_harmonic_sum(ctx, 1)[1] ** 2
+    assert den == q_harmonic_sum(ctx, 1)[1]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -291,14 +291,41 @@ def test_harmonic_denominators_are_units(p):
             assert ctx.frac_congruent(den, den, Poly([1]))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
+PRIMES_TO_61 = [p for p in range(3, 62) if is_prime(p)]
+
+
+def _at_one_gap(pair: tuple[Poly, Poly], expected: Fraction) -> int:
+    """num(1) / den(1) - expected, cleared of both denominators."""
+    num, den = pair
+    return num.eval_at_one() * expected.denominator - expected.numerator * den.eval_at_one()
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_61)
 def test_harmonic_sum_specializes_to_harmonic_numbers(p):
-    # M(1) = p^k, so at q = 1 the reduced pair still gives H_(p-1) modulo p^k
-    expected = sum(Fraction(1, i) for i in range(1, p))
+    # M(1) = p^k, so at q = 1 each reduced pair still gives its integer sum,
+    # sum 1/i, sum 1/i^2 or sum_{i<j} 1/(ij), modulo p^k
+    h1 = sum(Fraction(1, i) for i in range(1, p))
+    h2 = sum(Fraction(1, i * i) for i in range(1, p))
+    double = sum(Fraction(1, i * j) for j in range(1, p) for i in range(1, j))
     for k in (1, 2, 3, 4):
-        num, den = q_harmonic_sum(CongruenceContext(p, k), 1)
-        gap = num.eval_at_one() * expected.denominator - expected.numerator * den.eval_at_one()
-        assert gap % p**k == 0
+        ctx = CongruenceContext(p, k)
+        assert _at_one_gap(q_harmonic_sum(ctx, 1), h1) % p**k == 0
+        assert _at_one_gap(q_harmonic_sum(ctx, 2), h2) % p**k == 0
+        assert _at_one_gap(q_double_harmonic(ctx), double) % p**k == 0
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_61)
+def test_harmonic_pairs_satisfy_newtons_identity(p):
+    # no oracle: the double sum shares H1's denominator, and
+    # sum 1/[i]^2 = H1^2 - 2 H2' holds between the three reduced pairs
+    for k in (1, 2, 3, 4):
+        ctx = CongruenceContext(p, k)
+        num1, den1 = q_harmonic_sum(ctx, 1)
+        num2, den2 = q_harmonic_sum(ctx, 2)
+        dh_num, dh_den = q_double_harmonic(ctx)
+        assert dh_den == den1
+        assert ctx.reduce(num2 - num1 * num1 + 2 * dh_num * den1).is_zero()
+        assert ctx.reduce(den2 - den1 * den1).is_zero()
 
 
 HARMONIC_GRID = [(p, k) for p in (3, 5, 7, 11, 13) for k in (1, 2, 3, 4)]
@@ -336,25 +363,19 @@ def test_reduced_harmonic_residues_match_full_oracle_on_failure(p, k):
         assert residue == ctx.reduce(full_num - r * full_den)
 
 
-def test_double_harmonic_guards_its_halving(monkeypatch):
-    # sums whose h1^2 - h2 has an odd coefficient cannot be halved exactly
-    odd = (Poly([1, 1]), Poly([1]))
-    congruence._harmonic_sums.cache_clear()
-    congruence._double_harmonic.cache_clear()
-    monkeypatch.setattr(congruence, "_harmonic_sums", lambda p, k: (odd, odd))
-    with pytest.raises(NotDivisibleError):
-        q_double_harmonic(CongruenceContext(5, 2))
-
-
 @pytest.mark.parametrize("s", [1, 2])
 def test_harmonic_sum_takes_no_general_product(monkeypatch, s):
-    # times [i]_q is a prefix sum: the loop must not reach Poly.__mul__, and
-    # one cache fill ends each of its two sums with one reduce of num and den
+    # times [i]_q is a prefix sum: the fill must not reach Poly.__mul__, and it
+    # ends with one reduce of each of e0, e1 and e2; s = 1 reads two of them as
+    # they are, and s = 2 multiplies three pairs and reduces two results
     ctx = CongruenceContext(31, 3)
     expected = q_harmonic_sum(ctx, s)
+    mul = Poly.__mul__
+    calls = []
 
-    def no_mul(self, other):
-        raise AssertionError("general polynomial product in the harmonic loop")
+    def counted_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
 
     reduces = []
     reduce = CongruenceContext.reduce
@@ -363,13 +384,15 @@ def test_harmonic_sum_takes_no_general_product(monkeypatch, s):
         reduces.append(a)
         return reduce(self, a)
 
-    monkeypatch.setattr(Poly, "__mul__", no_mul)
-    monkeypatch.setattr(Poly, "__rmul__", no_mul)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__rmul__", counted_mul)
     monkeypatch.setattr(CongruenceContext, "reduce", counted_reduce)
     congruence._harmonic_sums.cache_clear()
+    congruence._harmonic_sums(31, 3)
+    assert (len(calls), len(reduces)) == (0, 3)
     assert q_harmonic_sum(ctx, s) == expected
     assert congruence._harmonic_sums.cache_info().misses == 1
-    assert len(reduces) == 4
+    assert (len(calls), len(reduces)) == ((0, 3), (3, 5))[s - 1]
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])

@@ -9,7 +9,7 @@ from conftest import expansion_sum, list_add, list_mul, list_shift, qbinom_pasca
 from hypothesis import given, strategies as hst
 
 import qcong.statements as statements
-from qcong.congruence import CongruenceContext, q_double_harmonic
+from qcong.congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from qcong.poly import Poly
 from qcong.qanalogs import modulus, q_binomial, q_number
 from qcong.statements import (
@@ -509,7 +509,7 @@ def test_a_failing_shipan_part_reduces_as_often_as_a_passing_one(monkeypatch):
     monkeypatch.setattr(statements, "_exact_scalar", lambda n, d: n // d + 1)
     failed = check_shipan(7)
     assert (failed.params["harmonic1_ok"], failed.params["harmonic2_ok"]) == (0, 0)
-    assert len(calls) == passing == 8
+    assert len(calls) == passing == 11
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
@@ -540,15 +540,38 @@ def test_binomial_gap_reduces_like_the_full_gap(p, ab, k, scale):
 
 
 @pytest.mark.parametrize("check,count", [
-    (check_shipan, 8), (check_double_harmonic, 4), (check_power_reduction, 4),
+    (check_shipan, 11), (check_double_harmonic, 4), (check_power_reduction, 4),
 ])
 def test_passing_fraction_checks_reduce_r_once(monkeypatch, check, count):
-    # warm: the harmonic sums are cached, so only the checks' own reduces count;
-    # CongruenceContext.frac_residue reduces r once
+    # warm: the elementary symmetric sums are cached at k = 3, so at k < 3 the
+    # look-up reduces those it reads (two for s = 1 and the double sum, three
+    # for s = 2), s = 2 reduces its two products, and frac_residue reduces r
+    # once and then num - r * den
     assert check(7).passed
     calls = _count_reduces(monkeypatch)
     assert check(7).passed
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("p", [5, 7, 31])
+def test_passing_power_reduction_takes_one_general_product(monkeypatch, p):
+    # warm: H1 and H2' share the denominator [p-1]_q!, and (q^p - 1)^2 is a
+    # substitution, so the one product of two polynomials is C_q(2p, p) times
+    # that denominator inside frac_residue
+    assert check_power_reduction(p).passed
+    den = q_harmonic_sum(CongruenceContext(p, 3), 1)[1]
+    mul = Poly.__mul__
+    products = []
+
+    def counted_mul(self, other):
+        if isinstance(other, Poly):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+    assert check_power_reduction(p).passed
+    assert products == [den]
 
 
 def test_jacobsthal_validation():
