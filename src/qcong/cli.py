@@ -20,9 +20,8 @@ from time import perf_counter
 from typing import Callable, Iterator
 
 from . import statements as st
-from .congruence import CongruenceContext
 from .poly import Poly
-from .qanalogs import is_prime, q_binomial
+from .qanalogs import is_prime
 
 REPORT_VERSION = "1.0"
 WITNESS_COEFF_CAP = 16
@@ -277,7 +276,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if not is_prime(args.p):
         print(f"error: p must be prime, got {args.p}", file=sys.stderr)
         return 2
-    rem = CongruenceContext(args.p, args.power).reduce(q_binomial(args.n, args.k))
+    rem = st.binomial_residue(args.n, min(args.k, args.n - args.k), args.p, args.power)
     print(f"q_binomial({args.n}, {args.k}) mod ([{args.p}]_q)^{args.power}:")
     print(f"  coefficients: {list(rem.coeffs)}")
     print(f"  polynomial:   {rem}")

@@ -10,8 +10,9 @@ failure of the mod-p^3 congruence there can serve as a negative control.
 A compound check (shipan, power_reduction, classical) has one 0/1 flag
 per part in its params, and the residue of its first failing part.
 The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme,
-jacobsthal's q_exponent and power_reduction's central binomial) share
-C_q(ap, bp)'s residue, reduced once per (p, a, min(b, a-b), k) and cached.
+jacobsthal's q_exponent and power_reduction's central binomial) and the
+CLI's reduce command take a Gaussian binomial's residue from one cached
+path, binomial_residue, keyed by (n, min(k, n-k), p, power).
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def _parts(params: dict[str, int], **residues: Poly) -> CheckResult:
     return CheckResult({**params, **flags}, first_failure)
 
 
-def _qp_minus_one(p: int) -> Poly:
-    return Poly.monomial(p) - 1
+def _q_power_minus_one(m: int, j: int) -> Poly:
+    # (q^m - 1)^j by the binomial theorem, with no product
+    return Poly([(-1) ** (j - i) * comb(j, i) for i in range(j + 1)]).substitute_power(m)
 
 
 def _two_power(p: int) -> Poly:
@@ -96,22 +98,22 @@ def _two_power(p: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _binomial_residue(p: int, a: int, b: int, k: int) -> Poly:
-    """C_q(ap, bp) reduced modulo ([p]_q)^k, cached; callers pass b <= a - b,
+def binomial_residue(n: int, k: int, p: int, power: int) -> Poly:
+    """C_q(n, k) reduced modulo ([p]_q)^power, cached; callers pass k <= n - k,
     so each symmetric pair is one entry."""
-    return CongruenceContext(p, k).reduce(q_binomial(a * p, b * p))
+    return CongruenceContext(p, power).reduce(q_binomial(n, k))
 
 
 def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Poly:
     """C_q(ap, bp) - C_{q^(p^2)}(a, b) - correction modulo ([p]_q)^k, as a
     short representative: not canonical, so reduce it again.
 
-    The left side is _binomial_residue's; the right side is C_{x^p}(a, b)
+    The left side is binomial_residue's; the right side is C_{x^p}(a, b)
     folded modulo (x - 1)^k at x = q^p, which ([p]_q)^k divides.  Neither
     side forms a polynomial of degree b(a-b)p^2, and since reduce is
     canonical and Z-linear, the reduced gap is that of the full one.
     """
-    lhs = _binomial_residue(p, a, min(b, a - b), k)
+    lhs = binomial_residue(a * p, min(b, a - b) * p, p, k)
     rhs = q_binomial(a, b).substitute_power(p).fold(1, k).substitute_power(p)
     return lhs - rhs - correction
 
@@ -120,7 +122,7 @@ def _ljunggren_gap(p: int, a: int, b: int, k: int) -> Poly:
     """Left side minus right side of check_q_ljunggren's congruence modulo
     ([p]_q)^k, as _binomial_gap's short representative."""
     corr = comb(a, b + 1) * comb(b + 1, 2) * _exact_scalar(p * p - 1, 12)
-    return _binomial_gap(p, a, b, k, -corr * _qp_minus_one(p) ** 2)
+    return _binomial_gap(p, a, b, k, -corr * _q_power_minus_one(p, 2))
 
 
 def _chu_sum(m: int, n: int, k: int, right: Callable[[int], Poly]) -> Poly:
@@ -157,9 +159,7 @@ def check_expansion_identity(
     _require_prime(p, "expansion")
     _require(0 <= b <= a, f"expansion needs 0 <= b <= a, got a={a}, b={b}")
     if (p + 1) ** a > budget:
-        raise BudgetExceededError(
-            f"(p+1)^a = {(p + 1) ** a} exceeds the enumeration budget {budget}"
-        )
+        raise BudgetExceededError(f"(p+1)^a = {(p + 1) ** a} exceeds the budget {budget}")
     target = b * p
     layer = {0: Poly((1,))}
     for i in range(a):
@@ -242,17 +242,16 @@ def check_shipan(p: int) -> CheckResult:
         sum 1/[i]_q^2 = -((p-1)(p-5)/12)(q-1)^2      mod [p]_q.
     """
     _require_prime(p, "shipan", minimum=5)
-    qm1 = Poly((-1, 1))
     ctx2 = CongruenceContext(p, 2)
     num1, den1 = q_harmonic_sum(ctx2, 1)
     rhs1 = (
-        -_exact_scalar(p - 1, 2) * qm1
-        + (_exact_scalar(p * p - 1, 24) * qm1 ** 2).times_q_number(p)
+        -_exact_scalar(p - 1, 2) * _q_power_minus_one(1, 1)
+        + (_exact_scalar(p * p - 1, 24) * _q_power_minus_one(1, 2)).times_q_number(p)
     )
 
     ctx1 = CongruenceContext(p, 1)
     num2, den2 = q_harmonic_sum(ctx1, 2)
-    rhs2 = -_exact_scalar((p - 1) * (p - 5), 12) * qm1 ** 2
+    rhs2 = -_exact_scalar((p - 1) * (p - 5), 12) * _q_power_minus_one(1, 2)
 
     return _parts(
         {"p": p},
@@ -269,7 +268,7 @@ def check_double_harmonic(p: int) -> CheckResult:
     _require_prime(p, "double_harmonic", minimum=5)
     ctx = CongruenceContext(p, 1)
     num, den = q_double_harmonic(ctx)
-    rhs = _exact_scalar((p - 1) * (p - 2), 6) * Poly((-1, 1)) ** 2
+    rhs = _exact_scalar((p - 1) * (p - 2), 6) * _q_power_minus_one(1, 2)
     return CheckResult({"p": p}, ctx.frac_residue(num, den, rhs))
 
 
@@ -288,7 +287,7 @@ def check_power_reduction(p: int) -> CheckResult:
     """
     _require_prime(p, "power_reduction", minimum=5)
     ctx = CongruenceContext(p, 3)
-    central = _binomial_residue(p, 2, 1, 3)
+    central = binomial_residue(2 * p, p, p, 3)
     h1_num, den = q_harmonic_sum(ctx, 1)
     dh_num, _ = q_double_harmonic(ctx)
     num = (
@@ -298,8 +297,7 @@ def check_power_reduction(p: int) -> CheckResult:
     )
     num = num + num.shift(p)  # times 1 + q^p
 
-    qp1 = _qp_minus_one(p)
-    qp1_squared = Poly((1, -2, 1)).substitute_power(p)
+    qp1, qp1_squared = _q_power_minus_one(p, 1), _q_power_minus_one(p, 2)
     rhs2 = 2 + p * qp1 + _exact_scalar((p - 1) * (5 * p - 1), 12) * qp1_squared
     rhs3 = 2 + p * qp1 + _exact_scalar((p - 1) * p, 2) * qp1_squared
     return _parts(

@@ -34,13 +34,25 @@ sums, the class sums modulo i, vanish.
 
 The valuation oracle tries each exponent in turn: the largest j <= cap for
 which plain monic division of f by ([p]_q)^j leaves no remainder.
+
+The root-of-unity shadow checks a residue modulo ([p]_q)^K in other
+arithmetic.  Take l, the first prime = 1 (mod p) above 2^40, and w of order
+p in F_l.  Then q -> w(1 + e) maps Z[q]/([p]_q)^K to F_l[e]/e^K, since w is
+a simple root of [p]_q modulo l, so a residue R of C_q(n, k) must have the
+image of the product of (1 - q^(n-k+j)) / (1 - q^j), j = 1..k.  That image
+is taken factor by factor, with no polynomial: a factor with p | m is e
+times a unit, and the e count is c = n//p - k//p - (n-k)//p.  Agreement is
+necessary, not sufficient, so the shadow filters residues and decides nothing.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
+from math import comb
 from typing import Iterable
+
+import pytest
 
 from qcong.poly import Poly
 from qcong.qanalogs import modulus
@@ -200,3 +212,62 @@ def valuation_per_k(p: int, cap: int, f: Poly) -> int:
     """Oracle: the largest j <= cap such that ([p]_q)^j divides f."""
     divides = [not f.divrem_monic(modulus(p, j))[1] for j in range(1, cap + 1)]
     return next((j for j, d in enumerate(divides) if not d), cap)
+
+
+@lru_cache(maxsize=None)
+def shadow_field(p: int) -> tuple[int, int]:
+    """(l, w): the first prime l = 1 (mod p) above 2^40 and w != 1 with w^p = 1."""
+    isprime = pytest.importorskip("sympy").isprime
+    ell = 2**40 + 1
+    ell += (1 - ell) % p
+    while not isprime(ell):
+        ell += p
+    g = 2
+    while pow(g, (ell - 1) // p, ell) == 1:
+        g += 1
+    return ell, pow(g, (ell - 1) // p, ell)
+
+
+def _series_mul(a: list[int], b: list[int], ell: int) -> list[int]:
+    """a * b in F_l[e]/e^K, K = len(a) = len(b)."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] = (out[i + j] + x * b[j]) % ell
+    return out
+
+
+def _series_inverse(u: list[int], ell: int) -> list[int]:
+    """1/u in F_l[e]/e^K for a unit u, K = len(u)."""
+    inv0 = pow(u[0], -1, ell)
+    out = [inv0]
+    for i in range(1, len(u)):
+        out.append(-inv0 * sum(u[j] * out[i - j] for j in range(1, i + 1)) % ell)
+    return out
+
+
+def shadow_image(f: Poly, p: int, K: int) -> list[int]:
+    """f(w(1 + e)) in F_l[e]/e^K, by Horner's rule."""
+    ell, w = shadow_field(p)
+    value = [0] * K
+    for c in reversed(f.coeffs):
+        value = [(w * (x + y) + c * (i == 0)) % ell
+                 for i, (x, y) in enumerate(zip(value, [0, *value]))]
+    return value
+
+
+def shadow_binomial(n: int, k: int, p: int, K: int) -> list[int]:
+    """C_q(n, k) at q = w(1 + e) in F_l[e]/e^K, from the product formula: each
+    1 - q^m is a unit when p does not divide m, and e times a unit when it does."""
+    ell, w = shadow_field(p)
+
+    def unit(m: int) -> list[int]:
+        if m % p:  # 1 - w^m (1 + e)^m
+            return [((i == 0) - pow(w, m, ell) * comb(m, i)) % ell for i in range(K)]
+        return [-comb(m, i + 1) % ell for i in range(K)]  # (1 - (1 + e)^m) / e
+
+    num, den = [1] + [0] * (K - 1), [1] + [0] * (K - 1)
+    for j in range(1, k + 1):
+        num, den = _series_mul(num, unit(n - k + j), ell), _series_mul(den, unit(j), ell)
+    c = n // p - k // p - (n - k) // p
+    return ([0] * c + _series_mul(num, _series_inverse(den, ell), ell))[:K]

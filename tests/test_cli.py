@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from conftest import shadow_binomial, shadow_image
+from hypothesis import given, settings, strategies as hst
 
 from qcong import congruence, statements
 from qcong.cli import Report, RunConfig, _parse_p_values, main, run_checks
@@ -411,6 +416,40 @@ def test_reduce_central_example(capsys):
     expected = rhs.divrem_monic(modulus(13, 3))[1]
     assert got == list(expected.coeffs)
     assert "(mod 13^3): 2" in out
+
+
+def _reduce(n: int, k: int, p: int, power: int) -> tuple[list[int], str]:
+    """The coefficients and the q = 1 line that `qcong reduce` prints."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["reduce", "--n", str(n), "--k", str(k), "--p", str(p),
+                     "--power", str(power)])
+    assert code == 0
+    lines = out.getvalue().splitlines()
+    return ast.literal_eval(lines[1].split("coefficients:")[1].strip()), lines[3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nk=hst.integers(0, 60).flatmap(lambda n: hst.tuples(hst.just(n), hst.integers(0, n))),
+    p=hst.sampled_from([2, 3, 5, 7, 11, 13]),
+    power=hst.integers(1, 4),
+)
+def test_reduce_matches_plain_division(nk, p, power):
+    # the printed residue against C_q(n, k) divided by ([p]_q)^power with no
+    # fold, its q = 1 line against math.comb, and both sides of the shadow
+    n, k = nk
+    coeffs, at_one = _reduce(n, k, p, power)
+    assert coeffs == list(q_binomial(n, k).divrem_monic(modulus(p, power))[1].coeffs)
+    assert at_one.endswith(f"(mod {p}^{power}): {math.comb(n, k) % p ** power}")
+    assert shadow_image(Poly(coeffs), p, power) == shadow_binomial(n, k, p, power)
+
+
+def test_reduce_past_the_division_oracle_matches_the_shadow():
+    coeffs, _ = _reduce(200, 100, 7, 3)
+    shadow = shadow_binomial(200, 100, 7, 3)
+    assert shadow_image(Poly(coeffs), 7, 3) == shadow
+    assert shadow_image(Poly(coeffs) + Poly.monomial(1), 7, 3) != shadow
 
 
 def test_reduce_usage_errors(capsys):

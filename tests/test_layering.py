@@ -2,7 +2,12 @@
 one stride-sum helper, _stride_sums, shared by the q-binomial step
 poly.half_times_q_ratio and the fold modulo (q^p - 1)^k, Poly.fold.
 No other module takes prefix sums or names that helper, and no other module
-defines a fold or the block count, FOLD_BLOCK_CUTOFF, that picks its loop."""
+defines a fold or the block count, FOLD_BLOCK_CUTOFF, that picks its loop.
+
+A Gaussian binomial reaches its residue by one path: the only reduce of a
+q_binomial(...) call is in statements.binomial_residue, and qcong.cli, whose
+reduce command reads that function, names neither q_binomial nor
+CongruenceContext."""
 
 from __future__ import annotations
 
@@ -71,3 +76,48 @@ def test_only_poly_defines_the_fold():
         if _defines_a_fold(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert users == ["poly.py"]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_cli_builds_and_reduces_no_binomial_itself():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert not _names(tree) & {"q_binomial", "CongruenceContext", "*"}
+
+
+class _BinomialReduces(ast.NodeVisitor):
+    """Records the enclosing function of every .reduce(q_binomial(...)) call."""
+
+    def __init__(self) -> None:
+        self.scope, self.found = "<module>", []
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "reduce" and any(
+            isinstance(arg, ast.Call) and "q_binomial" in _names(arg.func) for arg in node.args
+        ):
+            self.found.append(self.scope)
+        self.generic_visit(node)
+
+
+def test_one_path_reduces_a_gaussian_binomial():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _BinomialReduces()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [(path.name, scope) for scope in visitor.found]
+    assert found == [("statements.py", "binomial_residue")]

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import expansion_sum, list_add, list_mul, list_shift, qbinom_pascal
+from conftest import (
+    expansion_sum, list_add, list_mul, list_shift, qbinom_pascal, shadow_binomial,
+    shadow_image,
+)
 from hypothesis import given, strategies as hst
 
 import qcong.statements as statements
@@ -360,9 +363,9 @@ def test_binomial_congruences_build_no_large_binomial_once_warm(monkeypatch, p):
 @pytest.fixture
 def cold_binomial_residues():
     """Clear the shared residues before and after a test that fakes their builds."""
-    statements._binomial_residue.cache_clear()
+    statements.binomial_residue.cache_clear()
     yield
-    statements._binomial_residue.cache_clear()
+    statements.binomial_residue.cache_clear()
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -490,7 +493,7 @@ def test_jacobsthal_reduces_its_gap_once(monkeypatch):
     # cold, C_q(ap, bp)'s cached residue is one reduce and the short gap
     # another; warm, only the gap is reduced
     calls = _count_reduces(monkeypatch)
-    statements._binomial_residue.cache_clear()
+    statements.binomial_residue.cache_clear()
     assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
     assert calls == [5, 5]
     calls.clear()
@@ -519,8 +522,21 @@ def test_binomial_residues_keep_the_binomial_at_q_one(p):
     for a in range(6):
         for b in range(a // 2 + 1):
             for k in range(1, 6):
-                r = statements._binomial_residue(p, a, b, k)
+                r = statements.binomial_residue(a * p, b * p, p, k)
                 assert (r.eval_at_one() - math.comb(a * p, b * p)) % p ** k == 0, (a, b, k)
+
+
+@pytest.mark.parametrize("p, a_max", [(5, 6), (7, 6), (11, 6), (13, 6), (23, 4)])
+def test_binomial_residues_match_the_root_of_unity_shadow(p, a_max):
+    # every cached residue R of C_q(ap, bp) has the product formula's image
+    # under q -> w(1 + e); q maps to a unit, so R + q never does
+    for a in range(a_max + 1):
+        for b in range(a // 2 + 1):
+            for k in range(1, 6):
+                r = statements.binomial_residue(a * p, b * p, p, k)
+                shadow = shadow_binomial(a * p, b * p, p, k)
+                assert shadow_image(r, p, k) == shadow, (a, b, k)
+                assert shadow_image(r + Poly.monomial(1), p, k) != shadow, (a, b, k)
 
 
 @given(
