@@ -27,7 +27,6 @@ from .qanalogs import (
 )
 from .statements import (
     STATEMENT_IDS,
-    BudgetExceededError,
     CheckResult,
     PrecondViolationError,
     check_clark,
@@ -47,7 +46,6 @@ from .statements import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError",
     "CheckResult",
     "CongruenceContext",
     "DenominatorNotUnitError",

@@ -198,7 +198,7 @@ def run_checks(cfg: RunConfig) -> Report:
         for params in _grid(entry, cfg, primes):
             try:
                 results.append(_execute(stmt, params, cfg))
-            except (st.PrecondViolationError, st.BudgetExceededError) as exc:
+            except st.PrecondViolationError as exc:
                 skipped.append({"statement": stmt, "params": params, "reason": str(exc)})
             except Exception as exc:  # defensive: report, do not abort the batch
                 errored.append({"statement": stmt, "params": params, "error": repr(exc)})
@@ -276,7 +276,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if not is_prime(args.p):
         print(f"error: p must be prime, got {args.p}", file=sys.stderr)
         return 2
-    rem = st.binomial_residue(args.n, min(args.k, args.n - args.k), args.p, args.power)
+    rem = st.binomial_residue(args.n, args.k, args.p, args.power)
     print(f"q_binomial({args.n}, {args.k}) mod ([{args.p}]_q)^{args.power}:")
     print(f"  coefficients: {list(rem.coeffs)}")
     print(f"  polynomial:   {rem}")

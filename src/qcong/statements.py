@@ -12,7 +12,8 @@ per part in its params, and the residue of its first failing part.
 The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme,
 jacobsthal's q_exponent and power_reduction's central binomial) and the
 CLI's reduce command take a Gaussian binomial's residue from one cached
-path, binomial_residue, keyed by (n, min(k, n-k), p, power).
+path, binomial_residue(n, k, p, power), which holds one entry per
+symmetric pair.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ from .poly import Poly
 from .qanalogs import is_prime, q_binomial, q_number
 
 class PrecondViolationError(ValueError):
-    """The requested parameters are outside a statement's hypotheses."""
-
-
-class BudgetExceededError(RuntimeError):
-    """An expansion instance stands for more bounded compositions, (p+1)^a, than
-    the budget allows; its Chu steps enumerate none, so this is a size guard."""
+    """The requested parameters are outside a statement's hypotheses, or over
+    the run's size budget; either way the instance is skipped, not failed."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,10 @@ def _two_power(p: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def binomial_residue(n: int, k: int, p: int, power: int) -> Poly:
-    """C_q(n, k) reduced modulo ([p]_q)^power, cached; callers pass k <= n - k,
-    so each symmetric pair is one entry."""
+    """C_q(n, k) reduced modulo ([p]_q)^power for 0 <= k <= n, cached.  For
+    2k > n it is C_q(n, n-k)'s entry, so each symmetric pair is reduced once."""
+    if 2 * k > n:
+        return binomial_residue(n, n - k, p, power)
     return CongruenceContext(p, power).reduce(q_binomial(n, k))
 
 
@@ -113,7 +112,7 @@ def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Pol
     side forms a polynomial of degree b(a-b)p^2, and since reduce is
     canonical and Z-linear, the reduced gap is that of the full one.
     """
-    lhs = binomial_residue(a * p, min(b, a - b) * p, p, k)
+    lhs = binomial_residue(a * p, b * p, p, k)
     rhs = q_binomial(a, b).substitute_power(p).fold(1, k).substitute_power(p)
     return lhs - rhs - correction
 
@@ -158,8 +157,7 @@ def check_expansion_identity(
     """
     _require_prime(p, "expansion")
     _require(0 <= b <= a, f"expansion needs 0 <= b <= a, got a={a}, b={b}")
-    if (p + 1) ** a > budget:
-        raise BudgetExceededError(f"(p+1)^a = {(p + 1) ** a} exceeds the budget {budget}")
+    _require((p + 1) ** a <= budget, f"(p+1)^a = {(p + 1) ** a} exceeds the budget {budget}")
     target = b * p
     layer = {0: Poly((1,))}
     for i in range(a):

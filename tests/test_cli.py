@@ -185,6 +185,8 @@ def test_budget_exceeded_becomes_a_skip(capsys):
     assert code == 0
     assert report["summary"]["skipped"] > 0
     assert report["summary"]["passed"] > 0
+    for row in report["skipped"]:
+        assert row["reason"] == f"(p+1)^a = {3 ** row['params']['a']} exceeds the budget 100"
 
 
 @pytest.mark.parametrize("p, primes", [("7", 1), ("5..31", 9)])

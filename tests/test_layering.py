@@ -7,7 +7,8 @@ defines a fold or the block count, FOLD_BLOCK_CUTOFF, that picks its loop.
 A Gaussian binomial reaches its residue by one path: the only reduce of a
 q_binomial(...) call is in statements.binomial_residue, and qcong.cli, whose
 reduce command reads that function, names neither q_binomial nor
-CongruenceContext."""
+CongruenceContext.  binomial_residue owns the symmetric key, so no caller
+passes it a min(...)."""
 
 from __future__ import annotations
 
@@ -121,3 +122,26 @@ def test_one_path_reduces_a_gaussian_binomial():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += [(path.name, scope) for scope in visitor.found]
     assert found == [("statements.py", "binomial_residue")]
+
+
+def _min_args_to_binomial_residue(tree: ast.AST) -> list[int]:
+    """Line numbers of binomial_residue(...) calls with a min(...) in an argument."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "binomial_residue" in _names(node.func)
+        and any(
+            isinstance(sub, ast.Call) and "min" in _names(sub.func)
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]
+            for sub in ast.walk(arg)
+        )
+    ]
+
+
+def test_no_caller_passes_binomial_residue_a_min():
+    found = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in _min_args_to_binomial_residue(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

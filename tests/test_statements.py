@@ -9,15 +9,14 @@ from conftest import (
     expansion_sum, list_add, list_mul, list_shift, qbinom_pascal, shadow_binomial,
     shadow_image,
 )
-from hypothesis import given, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 import qcong.statements as statements
 from qcong.congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from qcong.poly import Poly
-from qcong.qanalogs import modulus, q_binomial, q_number
+from qcong.qanalogs import is_prime, modulus, q_binomial, q_number
 from qcong.statements import (
     STATEMENT_IDS,
-    BudgetExceededError,
     CheckResult,
     PrecondViolationError,
     check_clark,
@@ -124,7 +123,7 @@ def test_expansion_identity_degenerate_b():
 
 
 def test_expansion_identity_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(PrecondViolationError, match="exceeds the budget"):
         check_expansion_identity(5, 10, 1, budget=10**5)
 
 
@@ -501,6 +500,16 @@ def test_jacobsthal_reduces_its_gap_once(monkeypatch):
     assert calls == [5]
 
 
+@pytest.mark.parametrize("k", [7, 13])
+def test_a_symmetric_pair_is_one_residue(monkeypatch, cold_binomial_residues, k):
+    # binomial_residue owns the symmetric key: whichever of k and n - k is
+    # asked first, both return one object and the pair costs one reduce
+    calls = _count_reduces(monkeypatch)
+    first = statements.binomial_residue(20, k, 5, 3)
+    assert statements.binomial_residue(20, 20 - k, 5, 3) is first
+    assert calls == [3]
+
+
 def test_a_failing_shipan_part_reduces_as_often_as_a_passing_one(monkeypatch):
     # every Shi-Pan right side off by one fails both parts; a residue costs
     # the same two reduces (r, then num - r * den) whether it is zero or not
@@ -520,7 +529,7 @@ def test_binomial_residues_keep_the_binomial_at_q_one(p):
     # M(1) = p^k, so every cached residue R of C_q(ap, bp) has
     # R(1) = binom(ap, bp) mod p^k; math.comb shares no code with the kernels
     for a in range(6):
-        for b in range(a // 2 + 1):
+        for b in range(a + 1):
             for k in range(1, 6):
                 r = statements.binomial_residue(a * p, b * p, p, k)
                 assert (r.eval_at_one() - math.comb(a * p, b * p)) % p ** k == 0, (a, b, k)
@@ -537,6 +546,22 @@ def test_binomial_residues_match_the_root_of_unity_shadow(p, a_max):
                 shadow = shadow_binomial(a * p, b * p, p, k)
                 assert shadow_image(r, p, k) == shadow, (a, b, k)
                 assert shadow_image(r + Poly.monomial(1), p, k) != shadow, (a, b, k)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    p=hst.sampled_from([n for n in range(62) if is_prime(n)]),
+    ab=hst.integers(0, 6).flatmap(lambda a: hst.tuples(hst.just(a), hst.integers(0, a))),
+    k=hst.integers(1, 5),
+)
+def test_binomial_residues_match_the_shadow_at_every_prime_to_61(p, ab, k):
+    # the fixed grid's check past p = 23, and at b > a/2, where
+    # binomial_residue hands back C_q(ap, (a-b)p)'s entry
+    a, b = ab
+    r = statements.binomial_residue(a * p, b * p, p, k)
+    shadow = shadow_binomial(a * p, b * p, p, k)
+    assert shadow_image(r, p, k) == shadow
+    assert shadow_image(r + Poly.monomial(1), p, k) != shadow
 
 
 @given(
