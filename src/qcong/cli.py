@@ -4,7 +4,7 @@ and emit human-readable or JSON reports.
 Exit codes: 0 when every executed check passed (expected failures under
 --negative-controls do not count; a run whose every instance is skipped
 passes too, since a skip means "does not apply"), 1 when any check failed
-or errored, 2 on usage or configuration errors.
+or errored, 2 on usage errors: argparse's own, or one UsageError that main reports.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .qanalogs import is_prime
 
 REPORT_VERSION = "1.0"
 WITNESS_COEFF_CAP = 16
+
+
+class UsageError(Exception):
+    """A request refused before any check runs; main prints it and exits 2."""
 
 
 @dataclass
@@ -102,7 +106,7 @@ def _truncate_witness(witness: Poly | None) -> dict | None:
         return None
     return {
         "coefficients": list(witness.coeffs[:WITNESS_COEFF_CAP]),
-        "degree": witness.degree if witness.degree is not None else -1,
+        "degree": witness.degree,
     }
 
 
@@ -233,9 +237,7 @@ def _run(args: argparse.Namespace, **fields) -> int:
     try:
         out = open(cfg.output_path, "w", encoding="utf-8") if cfg.output_path else nullcontext()
     except OSError as exc:
-        print(f"error: cannot write --out {cfg.output_path}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot write --out {cfg.output_path}: {exc.strerror or exc}")
     with out:
         report = run_checks(cfg)
         as_json = report.to_json() if cfg.output_path or cfg.format == "json" else None
@@ -247,35 +249,28 @@ def _run(args: argparse.Namespace, **fields) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    unknown = sorted(set(args.statements.split(",")) - set(st.STATEMENT_IDS) - {""})
-    if unknown:
-        print(f"error: unknown statements: {', '.join(unknown)}", file=sys.stderr)
-        print(f"known statements: {', '.join(st.STATEMENT_IDS)}", file=sys.stderr)
-        return 2
     stmts = [s for s in args.statements.split(",") if s]
+    if unknown := sorted(set(stmts) - set(st.STATEMENT_IDS)):
+        raise UsageError(f"unknown statements: {', '.join(unknown)}\n"
+                         f"known statements: {', '.join(st.STATEMENT_IDS)}")
     if not stmts:
-        print("error: no statements requested", file=sys.stderr)
-        return 2
+        raise UsageError("no statements requested")
     try:
         p_values = _parse_p_values(args.p)
     except ValueError as exc:
-        print(f"error: bad --p value: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad --p value: {exc}")
     takes_k = any("k" in st.STATEMENTS[s].settings for s in stmts)
     if args.k_override is not None and not takes_k:
-        print(f"error: --k-override applies only to {_taking('k')}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--k-override applies only to {_taking('k')}")
     return _run(args, statements=stmts, p_values=p_values, b_max=args.b_max,
                 k_override=args.k_override)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     if not (0 <= args.k <= args.n):
-        print(f"error: need 0 <= k <= n, got n={args.n}, k={args.k}", file=sys.stderr)
-        return 2
+        raise UsageError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
     if not is_prime(args.p):
-        print(f"error: p must be prime, got {args.p}", file=sys.stderr)
-        return 2
+        raise UsageError(f"p must be prime, got {args.p}")
     rem = st.binomial_residue(args.n, args.k, args.p, args.power)
     print(f"q_binomial({args.n}, {args.k}) mod ([{args.p}]_q)^{args.power}:")
     print(f"  coefficients: {list(rem.coeffs)}")
@@ -364,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # reader hung up: let the flush at exit go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -18,7 +18,8 @@ from typing import Iterable
 
 #: Above this many blocks of p coefficients beyond the k that Poly.fold keeps,
 #: its stride sums beat its block loop (break-even at about 6-10 blocks for p
-#: in 5..31 and k in 3..5).
+#: in 5..31 and k in 3..5).  The block loop serves the short folds of the
+#: q-harmonic sums, the stride sums the long residues of Gaussian binomials.
 FOLD_BLOCK_CUTOFF = 8
 
 
@@ -97,8 +98,7 @@ class Poly:
                     blocks[s + j] = [x - c * y for x, y in zip(blocks[s + j], top)]
             return Poly([x for b in blocks[:k] for x in b])
         # blocks top first, each one reversed, so the lowest block ends the list
-        acc = [0] * (-len(self.coeffs) % p)
-        acc += reversed(self.coeffs)
+        acc = list(reversed(self.coeffs))
         taylor = []
         for _ in range(k):
             _stride_sums(acc, p)

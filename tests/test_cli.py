@@ -572,3 +572,30 @@ def test_q_binomial_exposed_for_drivers():
     # remainder value at q=1 matches the integer congruence residue
     rem = q_binomial(10, 5).divrem_monic(modulus(5, 3))[1]
     assert rem.eval_at_one() % 125 == 252 % 125
+
+
+KNOWN = ("clark, classical, cong2, convolution, double_harmonic, expansion, jacobsthal, "
+         "power_reduction, q_ljunggren, q_wolstenholme, qchu, shipan")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check", "--statements", "bogus,clark"],
+     f"error: unknown statements: bogus\nknown statements: {KNOWN}\n"),
+    (["check", "--statements", ","], "error: no statements requested\n"),
+    (["check", "--statements", "clark", "--p", ""], "error: bad --p value: no values in ''\n"),
+    (["check", "--statements", "clark", "--p", "5..3"],
+     "error: bad --p value: empty range '5..3'\n"),
+    (["check", "--statements", "shipan", "--p", "5", "--k-override", "4"],
+     "error: --k-override applies only to clark, cong2, q_ljunggren, q_wolstenholme\n"),
+    (["check", "--statements", "clark", "--out", "{missing}"],
+     "error: cannot write --out {missing}: No such file or directory\n"),
+    (["all", "--out", "{missing}"],
+     "error: cannot write --out {missing}: No such file or directory\n"),
+    (["reduce", "--n", "3", "--k", "5", "--p", "5"], "error: need 0 <= k <= n, got n=3, k=5\n"),
+    (["reduce", "--n", "10", "--k", "3", "--p", "4"], "error: p must be prime, got 4\n"),
+])
+def test_usage_errors_are_pinned_byte_for_byte(tmp_path, capsys, argv, err):
+    missing = str(tmp_path / "no" / "such" / "r.json")
+    code = main([arg.replace("{missing}", missing) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err.replace("{missing}", missing))

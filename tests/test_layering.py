@@ -8,11 +8,18 @@ A Gaussian binomial reaches its residue by one path: the only reduce of a
 q_binomial(...) call is in statements.binomial_residue, and qcong.cli, whose
 reduce command reads that function, names neither q_binomial nor
 CongruenceContext.  binomial_residue owns the symmetric key, so no caller
-passes it a min(...)."""
+passes it a min(...).
+
+Every function and method defined in src/qcong runs on a short CLI sweep,
+except the names in UNREACHED, each with its reason; a name there that
+is gone, or that the sweep now reaches, fails the test as well."""
 
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcong"
@@ -145,3 +152,81 @@ def test_no_caller_passes_binomial_residue_a_min():
         for line in _min_args_to_binomial_residue(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+# One fresh interpreter, so the lru caches start cold: it records the first
+# line of every code object called under src/qcong while main runs the sweep.
+SWEEP = """
+import contextlib, io, json, os, sys
+sys.path[:0] = ['src']
+src = os.path.abspath('src/qcong')
+called = set()
+def profile(frame, event, arg):
+    if event == 'call' and frame.f_code.co_filename.startswith(src):
+        called.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+from qcong import statements
+from qcong.cli import main
+sweep = [
+    ['all', '--p-max', '5', '--a-max', '1', '--negative-controls', '--format', 'json'],
+    ['check', '--statements', ','.join(statements.STATEMENT_IDS), '--p', '4,5',
+     '--a-max', '2', '--k-override', '3'],
+    ['reduce', '--n', '20', '--k', '12', '--p', '5'],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in sweep]
+sys.setprofile(None)
+print(json.dumps({'codes': codes, 'called': sorted(called)}))
+"""
+
+BENCHMARK_PIN = "benchmark pin: perfbench/child.py wraps it or gcd_primitive; ROADMAP item 2"
+ORACLE = "the tests' oracle and diagnostic surface"
+UNREACHED = {
+    "poly.gcd_primitive": BENCHMARK_PIN,
+    "poly._pseudo_rem": BENCHMARK_PIN,
+    "poly._primitive": BENCHMARK_PIN,
+    "poly._content": BENCHMARK_PIN,
+    "poly.Poly.exact_div": BENCHMARK_PIN,
+    "congruence.CongruenceContext.frac_congruent": BENCHMARK_PIN,
+    "poly.Poly.monomial": ORACLE,
+    "poly.Poly.__eq__": ORACLE,
+    "poly.Poly.__hash__": ORACLE,
+    "poly.Poly.__neg__": ORACLE,
+    "poly.Poly.__rsub__": ORACLE,
+    "poly.Poly.__pow__": ORACLE,
+    "poly.Poly.__repr__": ORACLE,
+}
+
+
+def _defined_functions(tree: ast.AST, prefix: str) -> dict[int, str]:
+    """Each function or method, keyed by the first line of its code object
+    (its first decorator's, if any), named prefix.Class.function."""
+    found = {}
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found.update(_defined_functions(node, f"{prefix}.{node.name}"))
+        elif isinstance(node, ast.FunctionDef):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            found[first] = f"{prefix}.{node.name}"
+            found.update(_defined_functions(node, f"{prefix}.{node.name}"))
+    return found
+
+
+def test_every_src_function_runs_on_a_cli_path():
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP], cwd=SRC.parents[1], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sweep = json.loads(proc.stdout)
+    # clark holds only modulo ([p]_q)^2, so k = 3 leaves one FAIL with a witness
+    assert sweep["codes"] == [0, 1, 0]
+    called = {tuple(site) for site in sweep["called"]}
+    unreached = sorted(
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _defined_functions(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem).items()
+        if (path.name, line) not in called
+    )
+    assert unreached == sorted(UNREACHED)
