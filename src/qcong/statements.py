@@ -13,7 +13,9 @@ The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme,
 jacobsthal's q_exponent and power_reduction's central binomial) and the
 CLI's reduce command take a Gaussian binomial's residue from one cached
 path, binomial_residue(n, k, p, power), which holds one entry per
-symmetric pair.
+symmetric pair.  For n = ap and k = bp >= p it builds no C_q(ap, bp): only
+the block units C_q(jp + p - 1, p - 1) for j < power, whose k = p - 1 is
+below p, and C_q(a, b).
 """
 
 from __future__ import annotations
@@ -96,11 +98,81 @@ def _two_power(p: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def binomial_residue(n: int, k: int, p: int, power: int) -> Poly:
-    """C_q(n, k) reduced modulo ([p]_q)^power for 0 <= k <= n, cached.  For
-    2k > n it is C_q(n, n-k)'s entry, so each symmetric pair is reduced once."""
+    """C_q(n, k) reduced modulo M = ([p]_q)^power for 0 <= k <= n, cached.  For
+    2k > n it is C_q(n, n-k)'s entry, so each symmetric pair is reduced once.
+
+    For n = ap and k = bp >= p, C_q(n, k) is never built: as for integer
+    binomials modulo p^k (Granville, CMS Conf. Proc. 20, 1997), each
+    q-factorial splits into a part at multiples of p and a unit part.  The
+    factors [(a-b)p + i]_q / [i]_q of C_q(ap, bp) with p | i make
+    C_{q^p}(a, b), and the others, in blocks of p - 1, the unit part
+    P(a) / (P(b) P(a-b)) of _unit_part.  Only C_x(a, b) modulo (x - 1)^power
+    is needed, since M divides it at x = q^p: at most power terms, so it
+    multiplies as shifts.  Otherwise C_q(n, k) is built and reduced.
+    """
     if 2 * k > n:
         return binomial_residue(n, n - k, p, power)
-    return CongruenceContext(p, power).reduce(q_binomial(n, k))
+    if k < p or n % p or k % p:
+        return CongruenceContext(p, power).reduce(q_binomial(n, k))
+    a, b = n // p, k // p
+    unit = _unit_part(a, b, p, power)
+    outer = q_binomial(a, b).fold(1, power)
+    shifts = sum(((unit * c).shift(j * p) for j, c in enumerate(outer.coeffs)), Poly())
+    return CongruenceContext(p, power).reduce(shifts)
+
+
+def _unit_part(a: int, b: int, p: int, power: int) -> Poly:
+    """P(a) / (P(b) P(a-b)) modulo M = ([p]_q)^power, for 0 < b <= a, where
+    P(t) is the product of the block units V(j) over j < t: the product of
+    V(j) over a - b <= j < a, times the inverse of P(b).  V(0) = C_q(p - 1,
+    p - 1) is 1, so P(b) is the product over 0 < j < b, and for b = 1 there
+    is nothing to invert.  Each product over a range of j is taken in a loop,
+    with no recursion."""
+    ctx = CongruenceContext(p, power)
+
+    def product(js: range) -> Poly:
+        out = _block_unit(js[0], p, power)
+        for j in js[1:]:
+            out = _times(ctx, out, _block_unit(j, p, power))
+        return out
+
+    top = product(range(a - b, a))
+    return _times(ctx, top, _unit_inverse(ctx, product(range(1, b)))) if b > 1 else top
+
+
+def _times(ctx: CongruenceContext, f: Poly, g: Poly) -> Poly:
+    """f * g reduced modulo ctx's ([p]_q)^k."""
+    return ctx.reduce(f * g)
+
+
+def _unit_inverse(ctx: CongruenceContext, u: Poly) -> Poly:
+    """1/u modulo M = ([p]_q)^k for u = 1 modulo [p]_q, as every block unit is
+    by q-Lucas: (1 - u)^k vanishes modulo M, so 1/u is the sum of (1 - u)^i
+    over i < k, with integer coefficients, taken by Horner's rule from its
+    last two terms, 1 + (1 - u) = 2 - u (for k = 1 also 1 modulo M)."""
+    inverse = 2 - u
+    for _ in range(ctx.k - 2):
+        inverse = 1 + _times(ctx, 1 - u, inverse)
+    return inverse
+
+
+def _block_unit(t: int, p: int, power: int) -> Poly:
+    """V(t) = C_q(tp + p - 1, p - 1) modulo M = ([p]_q)^power, the product of
+    [tp + r]_q / [r]_q over 0 < r < p.
+
+    [tp + r]_q = [r]_q + q^r [p]_q [t]_(q^p), and [t]_x is the sum of
+    binom(t, i+1) (x - 1)^i, so modulo M, V(t) is a polynomial in t of degree
+    < power.  So only V(0), ..., V(power-1) are built, each a binomial_residue
+    with k = p - 1 < p, and past them V(t) is Newton's forward-difference form,
+    the sum of binom(t, i) times the i-th difference of V at 0, over i < power.
+    """
+    if t < power:
+        return binomial_residue(t * p + p - 1, p - 1, p, power)
+    diffs = [_block_unit(j, p, power) for j in range(power)]
+    for i in range(1, power):  # diffs[i] becomes the i-th difference at 0
+        for j in reversed(range(i, power)):
+            diffs[j] = diffs[j] - diffs[j - 1]
+    return sum((comb(t, i) * d for i, d in enumerate(diffs)), Poly())
 
 
 def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Poly:

@@ -172,6 +172,7 @@ sweep = [
     ['check', '--statements', ','.join(statements.STATEMENT_IDS), '--p', '4,5',
      '--a-max', '2', '--k-override', '3'],
     ['reduce', '--n', '20', '--k', '12', '--p', '5'],
+    ['reduce', '--n', '60', '--k', '20', '--p', '5', '--power', '3'],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in sweep]
@@ -192,7 +193,6 @@ UNREACHED = {
     "poly.Poly.__eq__": ORACLE,
     "poly.Poly.__hash__": ORACLE,
     "poly.Poly.__neg__": ORACLE,
-    "poly.Poly.__rsub__": ORACLE,
     "poly.Poly.__pow__": ORACLE,
     "poly.Poly.__repr__": ORACLE,
 }
@@ -220,7 +220,7 @@ def test_every_src_function_runs_on_a_cli_path():
     assert proc.returncode == 0, proc.stderr
     sweep = json.loads(proc.stdout)
     # clark holds only modulo ([p]_q)^2, so k = 3 leaves one FAIL with a witness
-    assert sweep["codes"] == [0, 1, 0]
+    assert sweep["codes"] == [0, 1, 0, 0]
     called = {tuple(site) for site in sweep["called"]}
     unreached = sorted(
         name

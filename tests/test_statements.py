@@ -330,6 +330,16 @@ def test_power_reduction_rejects_p3():
         check_power_reduction(3)
 
 
+@pytest.fixture
+def cold_binomial_residues():
+    """Clear the shared residues before and after a test that fakes or logs
+    their builds."""
+    residues = statements.binomial_residue
+    residues.cache_clear()
+    yield
+    residues.cache_clear()
+
+
 def _binomial_congruences(p: int):
     """Every instance of the six checks that read C_q(ap, bp)'s cached residue,
     at p with a <= 4, as (check, args) pairs."""
@@ -344,39 +354,39 @@ def _binomial_congruences(p: int):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
-def test_binomial_congruences_build_no_large_binomial_once_warm(monkeypatch, p):
-    # once the shared residues are cached, only _binomial_gap's small right
-    # side C_q(a, b), a <= 4 < p, may still be built
-    warm = [check(*args) for check, args in _binomial_congruences(p)]
-    real = statements.q_binomial
+def test_binomial_congruences_build_no_large_binomial(monkeypatch, cold_binomial_residues, p):
+    # cold: C_q(ap, bp) reaches its residue from the block units
+    # C_q(jp + p - 1, p - 1) and the small C_q(a, b), a <= 4 < p; every
+    # q_binomial(n, k) asked for has min(k, n - k) < p
+    expected = [check(*args) for check, args in _binomial_congruences(p)]
+    statements.binomial_residue.cache_clear()
+    real, asked = statements.q_binomial, []
 
-    def small_only(n: int, k: int) -> Poly:
-        if n >= p:
-            raise AssertionError(f"C_q({n}, {k}) built outside the shared cache")
+    def logged(n: int, k: int) -> Poly:
+        asked.append((n, k))
         return real(n, k)
 
-    monkeypatch.setattr(statements, "q_binomial", small_only)
-    assert [check(*args) for check, args in _binomial_congruences(p)] == warm
-
-
-@pytest.fixture
-def cold_binomial_residues():
-    """Clear the shared residues before and after a test that fakes their builds."""
-    statements.binomial_residue.cache_clear()
-    yield
-    statements.binomial_residue.cache_clear()
+    monkeypatch.setattr(statements, "q_binomial", logged)
+    assert [check(*args) for check, args in _binomial_congruences(p)] == expected
+    assert (2 * p - 1, p - 1) in asked
+    assert [(n, k) for n, k in asked if min(k, n - k) >= p] == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_a_faked_central_binomial_fails_as_the_peeled_formulas_say(
     monkeypatch, cold_binomial_residues, p
 ):
-    # C_q(2p, p) + q^3: the peeled convolution left minus C_q(2p, p) - (1 + q^(p^2))
-    # is -q^3, and power_reduction's first two parts fail with the third intact,
-    # the first with the residue of -q^3 cleared over dh_den
-    real = statements.q_binomial
+    # C_q(2p, p) + q^3, both as the convolution's exact build and as the shared
+    # residue that power_reduction reads: the peeled convolution left minus
+    # C_q(2p, p) - (1 + q^(p^2)) is -q^3, and power_reduction's first two parts
+    # fail with the third intact, the first with the residue of -q^3 cleared
+    # over dh_den
     bump = {(2 * p, p): Poly.monomial(3)}
-    monkeypatch.setattr(statements, "q_binomial", lambda n, k: real(n, k) + bump.get((n, k), 0))
+    real_binomial, real_residue = statements.q_binomial, statements.binomial_residue
+    monkeypatch.setattr(statements, "q_binomial",
+                        lambda n, k: real_binomial(n, k) + bump.get((n, k), 0))
+    monkeypatch.setattr(statements, "binomial_residue",
+                        lambda n, k, *rest: real_residue(n, k, *rest) + bump.get((n, k), 0))
     assert check_convolution_identity(p).residue == -Poly.monomial(3)
     res = check_power_reduction(p)
     assert list(res.params.items()) == [
@@ -488,13 +498,15 @@ def _count_reduces(monkeypatch) -> list[int]:
     return calls
 
 
-def test_jacobsthal_reduces_its_gap_once(monkeypatch):
-    # cold, C_q(ap, bp)'s cached residue is one reduce and the short gap
-    # another; warm, only the gap is reduced
+def test_jacobsthal_reduces_its_gap_once(monkeypatch, cold_binomial_residues):
+    # cold, C_q(49, 14)'s residue takes 11 reduces: the block units V(0..4)
+    # it builds (V(5) and V(6) are their Newton form), the product V(5) V(6),
+    # the three Horner steps of the inverse of V(1) past its start 2 - V(1)
+    # (V(0) is 1), the unit part, and its sum of shifts by C_{q^7}(7, 2); the
+    # short gap is one more; warm, only the gap is reduced
     calls = _count_reduces(monkeypatch)
-    statements.binomial_residue.cache_clear()
     assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
-    assert calls == [5, 5]
+    assert calls == [5] * 12
     calls.clear()
     assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
     assert calls == [5]
@@ -562,6 +574,62 @@ def test_binomial_residues_match_the_shadow_at_every_prime_to_61(p, ab, k):
     shadow = shadow_binomial(a * p, b * p, p, k)
     assert shadow_image(r, p, k) == shadow
     assert shadow_image(r + Poly.monomial(1), p, k) != shadow
+
+
+@pytest.mark.parametrize("p", [67, 101, 211])
+def test_binomial_residues_match_the_shadow_past_any_full_build(p):
+    # up to C_q(12p, 6p), of degree 36p^2; at k = 3 the residue builds only
+    # the block units C_q(2p - 1, p - 1) and C_q(3p - 1, p - 1)
+    for a in range(2, 13):
+        for b in range(1, a // 2 + 1):
+            r = statements.binomial_residue(a * p, b * p, p, 3)
+            shadow = shadow_binomial(a * p, b * p, p, 3)
+            assert shadow_image(r, p, 3) == shadow, (a, b)
+            assert shadow_image(r + Poly.monomial(1), p, 3) != shadow, (a, b)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    p=hst.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]),
+    ab=hst.integers(0, 5).flatmap(lambda a: hst.tuples(hst.just(a), hst.integers(0, a))),
+    k=hst.integers(1, 5),
+)
+def test_binomial_residues_match_the_full_build(p, ab, k):
+    # the unit-part path against C_q(ap, bp) built in full and reduced, for
+    # b > a/2 as well, where binomial_residue reads C_q(ap, (a-b)p)'s entry
+    a, b = ab
+    full = CongruenceContext(p, k).reduce(q_binomial(a * p, b * p))
+    assert statements.binomial_residue(a * p, b * p, p, k) == full
+
+
+def test_a_residue_at_a_1200_matches_the_full_build():
+    # a = 1200: C_q(6000, 10)'s unit part reads V(1198) and V(1199), which are
+    # Newton forms far past the built V(0..2)
+    full = CongruenceContext(5, 3).reduce(q_binomial(6000, 10))
+    assert statements.binomial_residue(6000, 10, 5, 3) == full
+
+
+def test_a_residue_of_150_blocks_over_150_matches_the_shadow():
+    # C_q(1500, 750) at p = 5: the product of the block units V(150..299)
+    # over that of V(0..149), which is inverted
+    r = statements.binomial_residue(1500, 750, 5, 3)
+    shadow = shadow_binomial(1500, 750, 5, 3)
+    assert shadow_image(r, 5, 3) == shadow
+    assert shadow_image(r + Poly.monomial(1), 5, 3) != shadow
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_block_units_are_units_and_newton_forms(p):
+    # V(t) = C_q(tp + p - 1, p - 1): built for t < k, Newton's form past
+    # that, against the full build for every t < 12; V(t) = 1 modulo [p]_q
+    # (q-Lucas), and V times its inverse is 1 modulo ([p]_q)^k
+    for k in range(1, 6):
+        ctx = CongruenceContext(p, k)
+        for t in range(12):
+            v = statements._block_unit(t, p, k)
+            assert v == ctx.reduce(q_binomial(t * p + p - 1, p - 1)), (k, t)
+            assert v.divrem_monic(q_number(p))[1] == 1, (k, t)
+            assert statements._times(ctx, v, statements._unit_inverse(ctx, v)) == 1, (k, t)
 
 
 @given(
