@@ -249,7 +249,7 @@ def _run(args: argparse.Namespace, **fields) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    stmts = [s for s in args.statements.split(",") if s]
+    stmts = list(dict.fromkeys(s for s in args.statements.split(",") if s))
     if unknown := sorted(set(stmts) - set(st.STATEMENT_IDS)):
         raise UsageError(f"unknown statements: {', '.join(unknown)}\n"
                          f"known statements: {', '.join(st.STATEMENT_IDS)}")

@@ -1,4 +1,6 @@
-"""One verifiable check per congruence or identity in the statement catalog.
+"""One verifiable check per congruence or identity in the statement catalog,
+the STATEMENTS table that drivers run them from, and binomial_residue, the
+one cached path from a Gaussian binomial to its residue modulo ([p]_q)^power.
 
 Every check returns its parameters and the reduced difference that should
 be zero, so a driver can report exactly what broke; timing and naming an
@@ -11,11 +13,8 @@ A compound check (shipan, power_reduction, classical) has one 0/1 flag
 per part in its params, and the residue of its first failing part.
 The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme,
 jacobsthal's q_exponent and power_reduction's central binomial) and the
-CLI's reduce command take a Gaussian binomial's residue from one cached
-path, binomial_residue(n, k, p, power), which holds one entry per
-symmetric pair.  For n = ap and k = bp >= p it builds no C_q(ap, bp): only
-the block units C_q(jp + p - 1, p - 1) for j < power, whose k = p - 1 is
-below p, and C_q(a, b).
+CLI's reduce command read their residues from binomial_residue, whose
+docstring says how it does without building C_q(ap, bp).
 """
 
 from __future__ import annotations
@@ -106,43 +105,33 @@ def binomial_residue(n: int, k: int, p: int, power: int) -> Poly:
     q-factorial splits into a part at multiples of p and a unit part.  The
     factors [(a-b)p + i]_q / [i]_q of C_q(ap, bp) with p | i make
     C_{q^p}(a, b), and the others, in blocks of p - 1, the unit part
-    P(a) / (P(b) P(a-b)) of _unit_part.  Only C_x(a, b) modulo (x - 1)^power
-    is needed, since M divides it at x = q^p: at most power terms, so it
-    multiplies as shifts.  Otherwise C_q(n, k) is built and reduced.
+    P(a) / (P(b) P(a-b)), where P(t) is the product of the block units V(j)
+    over j < t: the product of V(j) over a - b <= j < a, over P(b), and as
+    V(0) = C_q(p - 1, p - 1) is 1, P(b) is the product over 0 < j < b, so b = 1
+    inverts nothing.  Only C_x(a, b) modulo (x - 1)^power is needed, since M
+    divides it at x = q^p: at most power terms, so it multiplies as shifts.
+    Otherwise C_q(n, k) is built and reduced.
     """
     if 2 * k > n:
         return binomial_residue(n, n - k, p, power)
+    ctx = CongruenceContext(p, power)
     if k < p or n % p or k % p:
-        return CongruenceContext(p, power).reduce(q_binomial(n, k))
+        return ctx.reduce(q_binomial(n, k))
     a, b = n // p, k // p
-    unit = _unit_part(a, b, p, power)
+    unit = _block_product(ctx, range(a - b, a))
+    if b > 1:
+        unit = ctx.reduce(unit * _unit_inverse(ctx, _block_product(ctx, range(1, b))))
     outer = q_binomial(a, b).fold(1, power)
     shifts = sum(((unit * c).shift(j * p) for j, c in enumerate(outer.coeffs)), Poly())
-    return CongruenceContext(p, power).reduce(shifts)
+    return ctx.reduce(shifts)
 
 
-def _unit_part(a: int, b: int, p: int, power: int) -> Poly:
-    """P(a) / (P(b) P(a-b)) modulo M = ([p]_q)^power, for 0 < b <= a, where
-    P(t) is the product of the block units V(j) over j < t: the product of
-    V(j) over a - b <= j < a, times the inverse of P(b).  V(0) = C_q(p - 1,
-    p - 1) is 1, so P(b) is the product over 0 < j < b, and for b = 1 there
-    is nothing to invert.  Each product over a range of j is taken in a loop,
-    with no recursion."""
-    ctx = CongruenceContext(p, power)
-
-    def product(js: range) -> Poly:
-        out = _block_unit(js[0], p, power)
-        for j in js[1:]:
-            out = _times(ctx, out, _block_unit(j, p, power))
-        return out
-
-    top = product(range(a - b, a))
-    return _times(ctx, top, _unit_inverse(ctx, product(range(1, b)))) if b > 1 else top
-
-
-def _times(ctx: CongruenceContext, f: Poly, g: Poly) -> Poly:
-    """f * g reduced modulo ctx's ([p]_q)^k."""
-    return ctx.reduce(f * g)
+def _block_product(ctx: CongruenceContext, js: range) -> Poly:
+    """The product of the block units V(j) over js, reduced after each factor."""
+    out = _block_unit(ctx, js[0])
+    for j in js[1:]:
+        out = ctx.reduce(out * _block_unit(ctx, j))
+    return out
 
 
 def _unit_inverse(ctx: CongruenceContext, u: Poly) -> Poly:
@@ -152,25 +141,26 @@ def _unit_inverse(ctx: CongruenceContext, u: Poly) -> Poly:
     last two terms, 1 + (1 - u) = 2 - u (for k = 1 also 1 modulo M)."""
     inverse = 2 - u
     for _ in range(ctx.k - 2):
-        inverse = 1 + _times(ctx, 1 - u, inverse)
+        inverse = 1 + ctx.reduce((1 - u) * inverse)
     return inverse
 
 
-def _block_unit(t: int, p: int, power: int) -> Poly:
-    """V(t) = C_q(tp + p - 1, p - 1) modulo M = ([p]_q)^power, the product of
+def _block_unit(ctx: CongruenceContext, t: int) -> Poly:
+    """V(t) = C_q(tp + p - 1, p - 1) modulo ctx's M = ([p]_q)^k, the product of
     [tp + r]_q / [r]_q over 0 < r < p.
 
     [tp + r]_q = [r]_q + q^r [p]_q [t]_(q^p), and [t]_x is the sum of
     binom(t, i+1) (x - 1)^i, so modulo M, V(t) is a polynomial in t of degree
-    < power.  So only V(0), ..., V(power-1) are built, each a binomial_residue
-    with k = p - 1 < p, and past them V(t) is Newton's forward-difference form,
-    the sum of binom(t, i) times the i-th difference of V at 0, over i < power.
+    < k.  So only V(0), ..., V(k-1) are built, each a binomial_residue with
+    bottom p - 1 < p, and past them V(t) is Newton's forward-difference form,
+    the sum of binom(t, i) times the i-th difference of V at 0, over i < k.
     """
-    if t < power:
-        return binomial_residue(t * p + p - 1, p - 1, p, power)
-    diffs = [_block_unit(j, p, power) for j in range(power)]
-    for i in range(1, power):  # diffs[i] becomes the i-th difference at 0
-        for j in reversed(range(i, power)):
+    p, k = ctx.p, ctx.k
+    if t < k:
+        return binomial_residue(t * p + p - 1, p - 1, p, k)
+    diffs = [_block_unit(ctx, j) for j in range(k)]
+    for i in range(1, k):  # diffs[i] becomes the i-th difference at 0
+        for j in reversed(range(i, k)):
             diffs[j] = diffs[j] - diffs[j - 1]
     return sum((comb(t, i) * d for i, d in enumerate(diffs)), Poly())
 

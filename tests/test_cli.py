@@ -156,6 +156,16 @@ def test_k_override_reaches_the_checks(capsys, statement, k):
     assert any(not r["passed"] for r in report["results"])
 
 
+def test_a_repeated_statement_id_is_run_and_echoed_once(capsys):
+    # like --p, --statements drops repeats and keeps first-seen order
+    code = main(["check", "--statements", "shipan,clark,shipan,clark", "--p", "5",
+                 "--a-max", "1", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["config"]["statements"] == ["shipan", "clark"]
+    assert Counter(r["statement"] for r in report["results"]) == {"clark": 3, "shipan": 1}
+
+
 def test_k_override_without_a_k_statement_is_a_usage_error(capsys):
     code = main(["check", "--statements", "shipan", "--p", "5", "--k-override", "4"])
     captured = capsys.readouterr()

@@ -626,10 +626,10 @@ def test_block_units_are_units_and_newton_forms(p):
     for k in range(1, 6):
         ctx = CongruenceContext(p, k)
         for t in range(12):
-            v = statements._block_unit(t, p, k)
+            v = statements._block_unit(ctx, t)
             assert v == ctx.reduce(q_binomial(t * p + p - 1, p - 1)), (k, t)
             assert v.divrem_monic(q_number(p))[1] == 1, (k, t)
-            assert statements._times(ctx, v, statements._unit_inverse(ctx, v)) == 1, (k, t)
+            assert ctx.reduce(v * statements._unit_inverse(ctx, v)) == 1, (k, t)
 
 
 @given(
