@@ -126,20 +126,14 @@ def _parse_p_values(text: str) -> list[int]:
     return values
 
 
-def _ab_pairs(cfg: RunConfig) -> list[tuple[int, int]]:
-    b_cap = cfg.a_max if cfg.b_max is None else cfg.b_max
-    return [(a, b) for a in range(cfg.a_max + 1) for b in range(min(a, b_cap) + 1)]
-
-
-def _grid(
-    entry: st.Statement, cfg: RunConfig, primes: list[int]
-) -> Iterator[dict[str, int]]:
+def _grid(entry: st.Statement, cfg: RunConfig) -> Iterator[dict[str, int]]:
     """Yield parameter dicts for the instances of one statement.
 
-    With an explicit p list every prime is instantiated and out-of-scope
-    combinations surface later as skips.  In the curated mode of 'all'
-    only primes from the statement's ``min_p`` up are generated, plus its
-    negative-control primes when those are requested.
+    A p that is not prime is yielded once, as {"p": p}, and _execute skips
+    it.  With an explicit p list every prime is instantiated and
+    out-of-scope combinations surface later as skips.  In the curated mode
+    of 'all' only primes from the statement's ``min_p`` up are generated,
+    plus its negative-control primes when those are requested.
     """
     if entry.grid == "mnk":
         top = cfg.a_max + 3
@@ -148,22 +142,27 @@ def _grid(
                 for k in range(m + n + 1):
                     yield {"m": m, "n": n, "k": k}
         return
-    for p in primes:
-        if not cfg.explicit_p and not (
+    b_cap = cfg.a_max if cfg.b_max is None else cfg.b_max
+    for p in cfg.p_values:
+        prime = is_prime(p)
+        if prime and not cfg.explicit_p and not (
             p >= entry.min_p or (cfg.negative_controls and p in entry.control_primes)
         ):
             continue
-        if entry.grid == "p":
+        if entry.grid == "p" or not prime:
             yield {"p": p}
             continue
-        for a, b in _ab_pairs(cfg):
-            if entry.grid == "pab" or 0 < b < a:
-                yield {"p": p, "a": a, "b": b}
+        for a in range(cfg.a_max + 1):
+            for b in range(min(a, b_cap) + 1):
+                if entry.grid == "pab" or 0 < b < a:
+                    yield {"p": p, "a": a, "b": b}
 
 
 def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> dict:
     """Run one instance, timing only the check, and return its result row,
     named by its table key."""
+    if "p" in params and not is_prime(params["p"]):
+        raise st.PrecondViolationError("p is not prime")
     entry = st.STATEMENTS[stmt]
     settings = {"k": cfg.k_override, "budget": cfg.budget}
     kw = {name: settings[name] for name in entry.settings if settings[name] is not None}
@@ -186,20 +185,12 @@ def _execute(stmt: str, params: dict[str, int], cfg: RunConfig) -> dict:
 def run_checks(cfg: RunConfig) -> Report:
     """Run the cartesian product of statements and parameters, returning a
     report sorted by statement id and then parameters."""
-    primes = [p for p in cfg.p_values if is_prime(p)]
     results: list[dict] = []
     skipped: list[dict] = []
     errored: list[dict] = []
 
     for stmt in sorted(set(cfg.statements)):
-        entry = st.STATEMENTS[stmt]
-        if entry.grid != "mnk":
-            for p in cfg.p_values:
-                if not is_prime(p):
-                    skipped.append(
-                        {"statement": stmt, "params": {"p": p}, "reason": "p is not prime"}
-                    )
-        for params in _grid(entry, cfg, primes):
+        for params in _grid(st.STATEMENTS[stmt], cfg):
             try:
                 results.append(_execute(stmt, params, cfg))
             except st.PrecondViolationError as exc:
@@ -243,7 +234,11 @@ def _run(args: argparse.Namespace, **fields) -> int:
         as_json = report.to_json() if cfg.output_path or cfg.format == "json" else None
         # the file first, so that it is written even if stdout's reader hangs up
         if cfg.output_path:
-            out.write(as_json + "\n")
+            try:
+                with out:  # closed here, so that a failed flush is reported too
+                    out.write(as_json + "\n")
+            except OSError as exc:
+                raise UsageError(f"cannot write --out {cfg.output_path}: {exc.strerror or exc}")
     print(as_json if cfg.format == "json" else report.render_text())
     return 0 if report.summary["failed"] == 0 and report.summary["errored"] == 0 else 1
 

@@ -127,10 +127,27 @@ def binomial_residue(n: int, k: int, p: int, power: int) -> Poly:
 
 
 def _block_product(ctx: CongruenceContext, js: range) -> Poly:
-    """The product of the block units V(j) over js, reduced after each factor."""
-    out = _block_unit(ctx, js[0])
-    for j in js[1:]:
-        out = ctx.reduce(out * _block_unit(ctx, j))
+    """The product of the block units V(j) = C_q(jp + p - 1, p - 1) over js
+    modulo ctx's M = ([p]_q)^k, reduced after each factor.
+
+    V(j) is the product of [jp + r]_q / [r]_q over 0 < r < p, and
+    [jp + r]_q = [r]_q + q^r [p]_q [j]_(q^p), where [j]_x is the sum of
+    binom(j, i+1) (x - 1)^i; so modulo M, V(j) is a polynomial in j of degree
+    < k.  So only V(1), ..., V(t) for t < min(k, js[-1] + 1) are built, each a
+    binomial_residue with bottom p - 1 < p; with V(0) = 1 their forward
+    differences at 0 are taken once, and every V(j) is Newton's form, the sum
+    of binom(j, i) times the i-th difference, exact at the sampled j too.
+    """
+    p, k = ctx.p, ctx.k
+    diffs = [Poly((1,))]
+    diffs += [binomial_residue(t * p + p - 1, p - 1, p, k) for t in range(1, min(k, js[-1] + 1))]
+    for i in range(1, len(diffs)):  # diffs[i] becomes the i-th difference at 0
+        for j in reversed(range(i, len(diffs))):
+            diffs[j] = diffs[j] - diffs[j - 1]
+    units = (sum((comb(j, i) * d for i, d in enumerate(diffs)), Poly()) for j in js)
+    out = next(units)
+    for unit in units:
+        out = ctx.reduce(out * unit)
     return out
 
 
@@ -143,26 +160,6 @@ def _unit_inverse(ctx: CongruenceContext, u: Poly) -> Poly:
     for _ in range(ctx.k - 2):
         inverse = 1 + ctx.reduce((1 - u) * inverse)
     return inverse
-
-
-def _block_unit(ctx: CongruenceContext, t: int) -> Poly:
-    """V(t) = C_q(tp + p - 1, p - 1) modulo ctx's M = ([p]_q)^k, the product of
-    [tp + r]_q / [r]_q over 0 < r < p.
-
-    [tp + r]_q = [r]_q + q^r [p]_q [t]_(q^p), and [t]_x is the sum of
-    binom(t, i+1) (x - 1)^i, so modulo M, V(t) is a polynomial in t of degree
-    < k.  So only V(0), ..., V(k-1) are built, each a binomial_residue with
-    bottom p - 1 < p, and past them V(t) is Newton's forward-difference form,
-    the sum of binom(t, i) times the i-th difference of V at 0, over i < k.
-    """
-    p, k = ctx.p, ctx.k
-    if t < k:
-        return binomial_residue(t * p + p - 1, p - 1, p, k)
-    diffs = [_block_unit(ctx, j) for j in range(k)]
-    for i in range(1, k):  # diffs[i] becomes the i-th difference at 0
-        for j in reversed(range(i, k)):
-            diffs[j] = diffs[j] - diffs[j - 1]
-    return sum((comb(t, i) * d for i, d in enumerate(diffs)), Poly())
 
 
 def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Poly:

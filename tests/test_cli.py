@@ -394,6 +394,20 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
     assert captured.err.startswith("error: cannot write --out ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [
+    # a 1 KB report fails when the file is closed, a 79 KB one on the write
+    ["check", "--statements", "clark", "--p", "5", "--a-max", "1"],
+    ["all", "--p-max", "7", "--a-max", "2"],
+])
+def test_a_failed_write_to_out_is_a_usage_error(capsys, command):
+    code = main(command + ["--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cannot write --out /dev/full: No space left on device\n"
+
+
 @pytest.mark.parametrize("sid", STATEMENT_IDS)
 def test_records_are_timed_and_named_by_the_driver(capsys, sid):
     main(["check", "--statements", sid, "--p", "5", "--a-max", "2", "--format", "json"])

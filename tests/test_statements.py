@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -499,14 +500,14 @@ def _count_reduces(monkeypatch) -> list[int]:
 
 
 def test_jacobsthal_reduces_its_gap_once(monkeypatch, cold_binomial_residues):
-    # cold, C_q(49, 14)'s residue takes 11 reduces: the block units V(0..4)
-    # it builds (V(5) and V(6) are their Newton form), the product V(5) V(6),
-    # the three Horner steps of the inverse of V(1) past its start 2 - V(1)
-    # (V(0) is 1), the unit part, and its sum of shifts by C_{q^7}(7, 2); the
-    # short gap is one more; warm, only the gap is reduced
+    # cold, C_q(49, 14)'s residue takes 10 reduces: the block units V(1..4)
+    # it builds (V(0) is 1, and V(5) and V(6) are their Newton form), the
+    # product V(5) V(6), the three Horner steps of the inverse of V(1) past its
+    # start 2 - V(1), the unit part, and its sum of shifts by C_{q^7}(7, 2);
+    # the short gap is one more; warm, only the gap is reduced
     calls = _count_reduces(monkeypatch)
     assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
-    assert calls == [5] * 12
+    assert calls == [5] * 11
     calls.clear()
     assert check_jacobsthal(7, 7, 2).params["q_exponent"] == 3
     assert calls == [5]
@@ -620,16 +621,36 @@ def test_a_residue_of_150_blocks_over_150_matches_the_shadow():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_block_units_are_units_and_newton_forms(p):
-    # V(t) = C_q(tp + p - 1, p - 1): built for t < k, Newton's form past
-    # that, against the full build for every t < 12; V(t) = 1 modulo [p]_q
-    # (q-Lucas), and V times its inverse is 1 modulo ([p]_q)^k
+    # V(t) = C_q(tp + p - 1, p - 1) as a one-factor block product: Newton's
+    # form on V(0..min(k - 1, t)), against the full build for every t < 12;
+    # V(t) = 1 modulo [p]_q (q-Lucas), and V times its inverse is 1 modulo
+    # ([p]_q)^k; and the product over 1 <= j < 12, which crosses t = k, is the
+    # reduced product of the full builds
     for k in range(1, 6):
         ctx = CongruenceContext(p, k)
+        full = [ctx.reduce(q_binomial(t * p + p - 1, p - 1)) for t in range(12)]
         for t in range(12):
-            v = statements._block_unit(ctx, t)
-            assert v == ctx.reduce(q_binomial(t * p + p - 1, p - 1)), (k, t)
+            v = statements._block_product(ctx, range(t, t + 1))
+            assert v == full[t], (k, t)
             assert v.divrem_monic(q_number(p))[1] == 1, (k, t)
             assert ctx.reduce(v * statements._unit_inverse(ctx, v)) == 1, (k, t)
+        product = functools.reduce(lambda f, g: ctx.reduce(f * g), full[1:])
+        assert statements._block_product(ctx, range(1, 12)) == product, k
+
+
+def test_a_block_product_builds_each_unit_once(monkeypatch):
+    # V(1..39) at p = 5, k = 3: V(0) = 1 is not built, V(1) = C_q(9, 4) and
+    # V(2) = C_q(14, 4) are asked for once each, and every other V(j) is
+    # their Newton form
+    real, asked = statements.binomial_residue, []
+
+    def logged(*args: int) -> Poly:
+        asked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(statements, "binomial_residue", logged)
+    statements._block_product(CongruenceContext(5, 3), range(1, 40))
+    assert asked == [(9, 4, 5, 3), (14, 4, 5, 3)]
 
 
 @given(
