@@ -14,10 +14,8 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
-from time import perf_counter
-from typing import Callable, Iterator
+from time import gmtime, perf_counter, strftime
+from typing import Callable, Iterator, NamedTuple
 
 from . import statements as st
 from .poly import Poly
@@ -31,8 +29,7 @@ class UsageError(Exception):
     """A request refused before any check runs; main prints it and exits 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Echoable description of one batch run."""
 
     statements: list[str]
@@ -51,8 +48,7 @@ class RunConfig:
     explicit_p: bool = True
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Ordered collection of check outcomes plus run metadata.
 
     Every instance is one plain dict row, ``{"statement", "params", ...}``.
@@ -71,7 +67,7 @@ class Report:
     summary: dict[str, int]
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2)
+        return json.dumps(self._asdict(), indent=2)
 
     def render_text(self) -> str:
         lines = [f"q-congruence check report (created {self.created})"]
@@ -210,8 +206,8 @@ def run_checks(cfg: RunConfig) -> Report:
     }
     return Report(
         version=REPORT_VERSION,
-        created=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        config=asdict(cfg),
+        created=strftime("%Y-%m-%dT%H:%M:%SZ", gmtime()),
+        config=cfg._asdict(),
         results=results,
         skipped=skipped,
         errored=errored,

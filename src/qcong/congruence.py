@@ -24,7 +24,6 @@ divides ([p]_q)^3; so one reduce also serves valuation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .poly import Poly
 from .qanalogs import modulus, q_number
@@ -35,16 +34,11 @@ class DenominatorNotUnitError(ValueError):
     ([p]_q)^k in Z_(p)[q], i.e. p divides D(1)."""
 
 
-@dataclass(frozen=True)
 class CongruenceContext:
     """A prime p and exponent k with the cached modulus ([p]_q)^k."""
 
-    p: int
-    k: int
-    modulus: Poly = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "modulus", modulus(self.p, self.k))
+    def __init__(self, p: int, k: int) -> None:
+        self.p, self.k, self.modulus = p, k, modulus(p, k)
 
     def reduce(self, a: Poly) -> Poly:
         """Canonical remainder of a modulo ([p]_q)^k; degree < k(p-1).

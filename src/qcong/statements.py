@@ -19,10 +19,9 @@ docstring says how it does without building C_q(ap, bp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, factorial
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from .congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from .poly import Poly
@@ -33,8 +32,7 @@ class PrecondViolationError(ValueError):
     the run's size budget; either way the instance is skipped, not failed."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verified statement instance.
 
     ``residue`` is the reduced difference that should be zero; the check
@@ -419,8 +417,7 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
     )
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """How a driver instantiates and runs one catalog statement.
 
     ``grid`` is the parameter shape: (m, n, k), p alone, (p, a, b) with

@@ -12,7 +12,6 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -219,7 +218,7 @@ def test_report_json_round_trip():
         negative_controls=True,
     )
     report = run_checks(cfg)
-    assert json.loads(report.to_json()) == asdict(report)
+    assert json.loads(report.to_json()) == report._asdict()
 
 
 def test_results_are_sorted_deterministically():
@@ -617,7 +616,8 @@ KNOWN = ("clark, classical, cong2, convolution, double_harmonic, expansion, jaco
      "error: cannot write --out {missing}: No such file or directory\n"),
     (["reduce", "--n", "3", "--k", "5", "--p", "5"], "error: need 0 <= k <= n, got n=3, k=5\n"),
     (["reduce", "--n", "10", "--k", "3", "--p", "4"], "error: p must be prime, got 4\n"),
-])
+], ids=["unknown-statement", "no-statements", "empty-p", "empty-range", "k-override",
+        "check-out", "all-out", "reduce-k", "reduce-p"])
 def test_usage_errors_are_pinned_byte_for_byte(tmp_path, capsys, argv, err):
     missing = str(tmp_path / "no" / "such" / "r.json")
     code = main([arg.replace("{missing}", missing) for arg in argv])
