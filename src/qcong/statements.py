@@ -108,7 +108,9 @@ def binomial_residue(n: int, k: int, p: int, power: int) -> Poly:
     V(0) = C_q(p - 1, p - 1) is 1, P(b) is the product over 0 < j < b, so b = 1
     inverts nothing.  Only C_x(a, b) modulo (x - 1)^power is needed, since M
     divides it at x = q^p: at most power terms, so it multiplies as shifts.
-    Otherwise C_q(n, k) is built and reduced.
+    Every product of two residues, in the unit part and its inverse, is
+    CongruenceContext.mul's: one packed product and one reduce.  Otherwise
+    C_q(n, k) is built and reduced.
     """
     if 2 * k > n:
         return binomial_residue(n, n - k, p, power)
@@ -118,7 +120,7 @@ def binomial_residue(n: int, k: int, p: int, power: int) -> Poly:
     a, b = n // p, k // p
     unit = _block_product(ctx, range(a - b, a))
     if b > 1:
-        unit = ctx.reduce(unit * _unit_inverse(ctx, _block_product(ctx, range(1, b))))
+        unit = ctx.mul(unit, _unit_inverse(ctx, _block_product(ctx, range(1, b))))
     outer = q_binomial(a, b).fold(1, power)
     shifts = sum(((unit * c).shift(j * p) for j, c in enumerate(outer.coeffs)), Poly())
     return ctx.reduce(shifts)
@@ -135,6 +137,9 @@ def _block_product(ctx: CongruenceContext, js: range) -> Poly:
     binomial_residue with bottom p - 1 < p; with V(0) = 1 their forward
     differences at 0 are taken once, and every V(j) is Newton's form, the sum
     of binom(j, i) times the i-th difference, exact at the sampled j too.
+    Each factor is multiplied in with ctx.mul, packed: from k = 4 on the
+    V(j) are dense (V(1) modulo ([19]_q)^4 has no zero among its 72
+    coefficients), where the schoolbook loop would skip none.
     """
     p, k = ctx.p, ctx.k
     diffs = [Poly((1,))]
@@ -145,7 +150,7 @@ def _block_product(ctx: CongruenceContext, js: range) -> Poly:
     units = (sum((comb(j, i) * d for i, d in enumerate(diffs)), Poly()) for j in js)
     out = next(units)
     for unit in units:
-        out = ctx.reduce(out * unit)
+        out = ctx.mul(out, unit)
     return out
 
 
@@ -153,10 +158,11 @@ def _unit_inverse(ctx: CongruenceContext, u: Poly) -> Poly:
     """1/u modulo M = ([p]_q)^k for u = 1 modulo [p]_q, as every block unit is
     by q-Lucas: (1 - u)^k vanishes modulo M, so 1/u is the sum of (1 - u)^i
     over i < k, with integer coefficients, taken by Horner's rule from its
-    last two terms, 1 + (1 - u) = 2 - u (for k = 1 also 1 modulo M)."""
+    last two terms, 1 + (1 - u) = 2 - u (for k = 1 also 1 modulo M); each
+    Horner step is one ctx.mul."""
     inverse = 2 - u
     for _ in range(ctx.k - 2):
-        inverse = 1 + ctx.reduce((1 - u) * inverse)
+        inverse = 1 + ctx.mul(1 - u, inverse)
     return inverse
 
 

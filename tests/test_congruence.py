@@ -18,6 +18,7 @@ from qcong.congruence import (
 )
 from qcong.poly import FOLD_BLOCK_CUTOFF, Poly
 from qcong.qanalogs import NotPrimeError, is_prime, modulus, q_binomial, q_number
+from qcong.statements import binomial_residue
 
 # Remainder of q_binomial(10, 5) modulo ([5]_q)^3, computed independently
 # (long division of both the Gaussian binomial and 1 + q^25 - 2(q^5-1)^2).
@@ -171,6 +172,34 @@ def test_congruence_respects_ring_operations(a, c, t, u):
     d = c + ctx.modulus * u
     assert ctx.reduce((a + c) - (b + d)).is_zero()
     assert ctx.reduce(a * c - b * d).is_zero()
+
+
+PRIMES_TO_23 = [p for p in range(2, 24) if is_prime(p)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", PRIMES_TO_23)
+def test_mul_is_the_reduced_schoolbook_product_on_block_units(p, k):
+    # the operands of binomial_residue's products: the block units V(1) and
+    # V(2) modulo ([p]_q)^k, a Newton-form combination and 1 - V(1); from
+    # p = 5 on, V(1) has at most 3 nonzero coefficients up to k = 3 and is
+    # dense from k = 4 on
+    v1, v2 = (binomial_residue(j * p + p - 1, p - 1, p, k) for j in (1, 2))
+    if p >= 5:
+        nonzero = sum(map(bool, v1.coeffs))
+        assert nonzero <= 3 if k <= 3 else nonzero >= len(v1.coeffs) - 1
+    ctx = CongruenceContext(p, k)
+    operands = [v1, v2, 3 * v2 - 2 * v1, 1 - v1]
+    for f in operands:
+        for g in operands:
+            assert ctx.mul(f, g) == ctx.reduce(f * g)
+
+
+@given(hst.sampled_from(PRIMES_TO_23), hst.integers(1, 5),
+       hst.lists(hst.integers(-(2**64), 2**64), max_size=120).map(Poly), polys)
+def test_mul_is_the_reduced_schoolbook_product(p, k, f, g):
+    ctx = CongruenceContext(p, k)
+    assert ctx.mul(f, g) == ctx.reduce(f * g) == ctx.mul(g, f)
 
 
 def test_frac_congruent_trivial():
@@ -365,17 +394,22 @@ def test_reduced_harmonic_residues_match_full_oracle_on_failure(p, k):
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_harmonic_sum_takes_no_general_product(monkeypatch, s):
-    # times [i]_q is a prefix sum: the fill must not reach Poly.__mul__, and it
+    # times [i]_q is a prefix sum: the fill must take no product at all, and it
     # ends with one reduce of each of e0, e1 and e2; s = 1 reads two of them as
-    # they are, and s = 2 multiplies three pairs and reduces two results
+    # they are, and s = 2 takes three packed products and reduces two results;
+    # Poly.__mul__ is never reached
     ctx = CongruenceContext(31, 3)
     expected = q_harmonic_sum(ctx, s)
-    mul = Poly.__mul__
-    calls = []
+    mul, packed = Poly.__mul__, congruence.packed_product
+    schoolbook, calls = [], []
 
     def counted_mul(self, other):
-        calls.append(other)
+        schoolbook.append(other)
         return mul(self, other)
+
+    def counted_packed(f, g):
+        calls.append(g)
+        return packed(f, g)
 
     reduces = []
     reduce = CongruenceContext.reduce
@@ -386,6 +420,7 @@ def test_harmonic_sum_takes_no_general_product(monkeypatch, s):
 
     monkeypatch.setattr(Poly, "__mul__", counted_mul)
     monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+    monkeypatch.setattr(congruence, "packed_product", counted_packed)
     monkeypatch.setattr(CongruenceContext, "reduce", counted_reduce)
     congruence._harmonic_sums.cache_clear()
     congruence._harmonic_sums(31, 3)
@@ -393,6 +428,7 @@ def test_harmonic_sum_takes_no_general_product(monkeypatch, s):
     assert q_harmonic_sum(ctx, s) == expected
     assert congruence._harmonic_sums.cache_info().misses == 1
     assert (len(calls), len(reduces)) == ((0, 3), (3, 5))[s - 1]
+    assert schoolbook == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])

@@ -10,6 +10,10 @@ reduce command reads that function, names neither q_binomial nor
 CongruenceContext.  binomial_residue owns the symmetric key, so no caller
 passes it a min(...).
 
+The packed product kernel (poly.pack, poly.unpack and poly.packed_product) is
+named only in qcong.poly and qcong.congruence; statements multiplies residues
+through CongruenceContext.mul, so none of its reduce calls takes a product.
+
 Every function and method defined in src/qcong runs on a short CLI sweep,
 except the names in UNREACHED, each with its reason; a name there that
 is gone, or that the sweep now reaches, fails the test as well."""
@@ -152,6 +156,38 @@ def test_no_caller_passes_binomial_residue_a_min():
         for line in _min_args_to_binomial_residue(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def test_only_poly_and_congruence_name_the_packed_kernel():
+    users = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _names(ast.parse(path.read_text(encoding="utf-8")))
+        & {"pack", "unpack", "packed_product", "*"}
+    ]
+    assert users == ["congruence.py", "poly.py"]
+
+
+def _reduced_products(tree: ast.AST) -> list[int]:
+    """Line numbers of .reduce(...) calls whose argument holds a product of
+    two operands that are not numeric literals."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "reduce"
+        and any(
+            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+            and not any(isinstance(side, ast.Constant) for side in (sub.left, sub.right))
+            for arg in node.args
+            for sub in ast.walk(arg)
+        )
+    ]
+
+
+def test_statements_reduces_no_product_of_residues():
+    tree = ast.parse((SRC / "statements.py").read_text(encoding="utf-8"))
+    assert _reduced_products(tree) == []
 
 
 # One fresh interpreter, so the lru caches start cold: it records the first

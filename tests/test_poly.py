@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import zip_longest
+from math import isqrt
 from operator import add, sub
 
 import pytest
@@ -16,6 +17,9 @@ from qcong.poly import (
     Poly,
     gcd_primitive,
     half_times_q_ratio,
+    pack,
+    packed_product,
+    unpack,
 )
 from qcong.qanalogs import q_number
 
@@ -294,6 +298,53 @@ def test_associativity(a, b, c):
 @given(small_polys, small_polys, small_polys)
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+# Signed coefficients of mixed sizes up to 2^300, so that operand lengths and
+# magnitudes differ; lists of zeros are the zero polynomial.
+kernel_polys = hst.lists(
+    hst.one_of(hst.integers(-2, 2), hst.integers(-(2**300), 2**300)), max_size=40
+).map(Poly)
+
+
+@given(kernel_polys, kernel_polys)
+def test_packed_product_matches_schoolbook_product(f, g):
+    assert packed_product(f, g) == f * g
+
+
+@pytest.mark.parametrize("f,g", [
+    ([], []), ([], [5]), ([0, 0], [1, -2, 3]), ([7], [-3]), ([-(2**300)], [2**300, 0, -1]),
+    ([1, -1], [2**200, 0, 0, 0, 0, 0, 0, 0, 0, -(2**200)]), ([0, 0, 0, 4], [0, -1]),
+])
+def test_packed_product_edge_cases(f, g):
+    f, g = Poly(f), Poly(g)
+    assert packed_product(f, g) == f * g == packed_product(g, f)
+    assert packed_product(f, f) == f * f
+
+
+@given(hst.integers(1, 40).flatmap(lambda size: hst.tuples(
+    hst.just(size),
+    hst.lists(hst.integers(-(2 ** (8 * size - 1)), 2 ** (8 * size - 1) - 1), max_size=30))))
+def test_unpack_inverts_pack(size_cs):
+    size, cs = size_cs
+    assert unpack(pack(cs, size), size, len(cs)) == cs
+
+
+@pytest.mark.parametrize("size,m,n", [(1, 2, 3), (2, 3, 5), (5, 20, 7), (38, 40, 40)])
+@pytest.mark.parametrize("signs", ["++", "+-", "alternating"])
+def test_a_slot_one_bit_narrower_than_the_bound_is_caught(size, m, n, signs):
+    # every coefficient is +-top, where top^2 min(m, n) has exactly 8 size bits,
+    # so the kernel needs 8 size + 1 bits and rounds up to size + 1 bytes;
+    # slots of size bytes, one bit narrower, wrap an extreme coefficient
+    top = isqrt(((1 << 8 * size) - 1) // min(m, n))
+    bound = top * top * min(m, n)
+    assert bound.bit_length() == 8 * size and bound > 1 << (8 * size - 1)
+    f = Poly([(-top if signs == "alternating" and i % 2 else top) for i in range(m)])
+    g = Poly([(-top if signs == "+-" or signs == "alternating" and i % 2 else top)
+              for i in range(n)])
+    narrow = unpack(pack(f.coeffs, size) * pack(g.coeffs, size), size, m + n - 1)
+    assert Poly(narrow) != f * g
+    assert packed_product(f, g) == f * g
 
 
 @given(polys, monic_polys)

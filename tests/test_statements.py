@@ -12,6 +12,7 @@ from conftest import (
 )
 from hypothesis import given, settings, strategies as hst
 
+import qcong.congruence as congruence
 import qcong.statements as statements
 from qcong.congruence import CongruenceContext, q_double_harmonic, q_harmonic_sum
 from qcong.poly import Poly
@@ -687,21 +688,27 @@ def test_passing_fraction_checks_reduce_r_once(monkeypatch, check, count):
 def test_passing_power_reduction_takes_one_general_product(monkeypatch, p):
     # warm: H1 and H2' share the denominator [p-1]_q!, and (q^p - 1)^2 is a
     # substitution, so the one product of two polynomials is C_q(2p, p) times
-    # that denominator inside frac_residue
+    # that denominator, packed inside frac_residue; Poly.__mul__ takes none
     assert check_power_reduction(p).passed
     den = q_harmonic_sum(CongruenceContext(p, 3), 1)[1]
-    mul = Poly.__mul__
-    products = []
+    mul, packed = Poly.__mul__, congruence.packed_product
+    schoolbook, products = [], []
 
     def counted_mul(self, other):
         if isinstance(other, Poly):
-            products.append(other)
+            schoolbook.append(other)
         return mul(self, other)
+
+    def counted_packed(f, g):
+        products.append(g)
+        return packed(f, g)
 
     monkeypatch.setattr(Poly, "__mul__", counted_mul)
     monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+    monkeypatch.setattr(congruence, "packed_product", counted_packed)
     assert check_power_reduction(p).passed
     assert products == [den]
+    assert schoolbook == []
 
 
 def test_jacobsthal_validation():
