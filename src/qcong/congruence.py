@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 
-from .poly import Poly, packed_product
-from .qanalogs import modulus, q_number
+from .poly import NotDivisibleError, Poly, packed_product
+from .qanalogs import modulus
 
 
 class DenominatorNotUnitError(ValueError):
@@ -55,12 +55,13 @@ class CongruenceContext:
         return self.reduce(packed_product(f, g))
 
     def valuation(self, f: Poly) -> int:
-        """The largest j <= k such that ([p]_q)^j divides f in Z[q]: f is reduced
-        modulo ([p]_q)^k once, then divided by [p]_q until a remainder is nonzero."""
+        """The largest j <= k such that ([p]_q)^j divides f in Z[q]: f is reduced modulo
+        ([p]_q)^k once, then divided by [p]_q (times_q_number(1, p)) until it fails."""
         r = self.reduce(f)
         for j in range(self.k):
-            r, rem = r.divrem_monic(q_number(self.p))
-            if rem:
+            try:
+                r = r.times_q_number(1, self.p)
+            except NotDivisibleError:
                 return j
         return self.k
 

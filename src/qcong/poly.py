@@ -63,14 +63,18 @@ class Poly:
             return self
         return Poly((0,) * e + self.coeffs)
 
-    def times_q_number(self, m: int) -> Poly:
-        """Return self * [m]_q, for m >= 0: the prefix sums of self - q^m self,
-        i.e. its quotient by 1 - q.  No polynomial multiplication is made."""
-        if m < 0:
-            raise ValueError(f"need m >= 0, got m={m}")
+    def times_q_number(self, m: int, over: int = 1) -> Poly:
+        """Return self * [m]_q / [over]_q (m >= 0, over >= 1): the stride-over prefix sums
+        of self - q^m self, its quotient by 1 - q^over, exact iff the last over sums (all,
+        if fewer) vanish, else NotDivisibleError.  No polynomial multiplication is made."""
+        if m < 0 or over < 1:
+            raise ValueError(f"need m >= 0 and over >= 1, got m={m}, over={over}")
         pad = (0,) * m
-        acc = list(accumulate(map(sub, self.coeffs + pad, pad + self.coeffs)))
-        return Poly(acc[:-1])
+        acc = list(map(sub, self.coeffs + pad, pad + self.coeffs))
+        _stride_sums(acc, over)
+        if any(acc[-over:]):
+            raise NotDivisibleError(f"{self} * [{m}]_q is not divisible by [{over}]_q")
+        return Poly(acc[:-over])
 
     def fold(self, p: int, k: int) -> Poly:
         """The remainder of self modulo (q^p - 1)^k = (1 - q)^k ([p]_q)^k, of
@@ -214,11 +218,7 @@ class Poly:
         if m.is_zero() or m.coeffs[-1] != 1:
             raise NonMonicDivisorError(f"divisor is not monic: {m}")
         dm = len(m.coeffs) - 1
-        if dm == 0:
-            return self, Poly()
         r = list(self.coeffs)
-        if len(r) <= dm:
-            return Poly(), self
         body = m.coeffs[:dm]
         quot = [0] * (len(r) - dm)
         for i in reversed(range(len(quot))):

@@ -11,10 +11,14 @@ The one exception is check_classical, which accepts p = 3 so the known
 failure of the mod-p^3 congruence there can serve as a negative control.
 A compound check (shipan, power_reduction, classical) has one 0/1 flag
 per part in its params, and the residue of its first failing part.
-The binomial congruences (clark, cong2, q_ljunggren, q_wolstenholme,
-jacobsthal's q_exponent and power_reduction's central binomial) and the
-CLI's reduce command read their residues from binomial_residue, whose
-docstring says how it does without building C_q(ap, bp).
+Clark's, q-Ljunggren's and q-Wolstenholme's congruences and cong2 are one
+check, _check_binomial: the gap C_q(ap, bp) - C_{q^(p^2)}(a, b) - binom(a, b+1)
+binom(b+1, 2) t_p vanishes modulo ([p]_q)^k, and only the per-prime term t_p
+differs: 0 (clark), -((p^2-1)/12) (q^p - 1)^2 (q_ljunggren; q_wolstenholme is
+its a=2, b=1) or C_q(2p, p) - (1 + q^(p^2)), the gap at a=2, b=1 (cong2).
+That gap, jacobsthal's q_exponent, power_reduction's central binomial and the
+CLI's reduce command read their residues from binomial_residue, which does
+without building C_q(ap, bp).
 """
 
 from __future__ import annotations
@@ -166,9 +170,9 @@ def _unit_inverse(ctx: CongruenceContext, u: Poly) -> Poly:
     return inverse
 
 
-def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Poly:
-    """C_q(ap, bp) - C_{q^(p^2)}(a, b) - correction modulo ([p]_q)^k, as a
-    short representative: not canonical, so reduce it again.
+def _binomial_gap(p: int, a: int, b: int, k: int, term: Poly | int) -> Poly:
+    """C_q(ap, bp) - C_{q^(p^2)}(a, b) - binom(a, b+1) binom(b+1, 2) term modulo
+    ([p]_q)^k, as a short representative: not canonical, so reduce it again.
 
     The left side is binomial_residue's; the right side is C_{x^p}(a, b)
     folded modulo (x - 1)^k at x = q^p, which ([p]_q)^k divides.  Neither
@@ -177,14 +181,21 @@ def _binomial_gap(p: int, a: int, b: int, k: int, correction: Poly | int) -> Pol
     """
     lhs = binomial_residue(a * p, b * p, p, k)
     rhs = q_binomial(a, b).substitute_power(p).fold(1, k).substitute_power(p)
-    return lhs - rhs - correction
+    return lhs - rhs - comb(a, b + 1) * comb(b + 1, 2) * term
 
 
-def _ljunggren_gap(p: int, a: int, b: int, k: int) -> Poly:
-    """Left side minus right side of check_q_ljunggren's congruence modulo
-    ([p]_q)^k, as _binomial_gap's short representative."""
-    corr = comb(a, b + 1) * comb(b + 1, 2) * _exact_scalar(p * p - 1, 12)
-    return _binomial_gap(p, a, b, k, -corr * _q_power_minus_one(p, 2))
+def _ljunggren_term(p: int) -> Poly:
+    """q-Ljunggren's per-prime term t_p = -((p^2-1)/12) (q^p - 1)^2."""
+    return -_exact_scalar(p * p - 1, 12) * _q_power_minus_one(p, 2)
+
+
+def _check_binomial(sid: str, p: int, a: int, b: int, k: int,
+                    term: Callable[[], Poly | int]) -> CheckResult:
+    """sid's gap with term(), reduced, once p is a prime >= its row's min_p and 0 <= b <= a."""
+    _require_prime(p, sid, minimum=STATEMENTS[sid].min_p)
+    _require(0 <= b <= a, f"{sid} needs 0 <= b <= a, got a={a}, b={b}")
+    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, k, term()))
+    return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
 
 
 def _chu_sum(m: int, n: int, k: int, right: Callable[[int], Poly]) -> Poly:
@@ -247,10 +258,7 @@ def check_convolution_identity(p: int) -> CheckResult:
 
 def check_clark(p: int, a: int, b: int, k: int = 2) -> CheckResult:
     """Clark's congruence: C_q(ap, bp) = C_{q^(p^2)}(a, b) mod ([p]_q)^2."""
-    _require_prime(p, "clark")
-    _require(0 <= b <= a, f"clark needs 0 <= b <= a, got a={a}, b={b}")
-    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, k, 0))
-    return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
+    return _check_binomial("clark", p, a, b, k, lambda: 0)
 
 
 def check_q_ljunggren(p: int, a: int, b: int, k: int = 3) -> CheckResult:
@@ -261,10 +269,7 @@ def check_q_ljunggren(p: int, a: int, b: int, k: int = 3) -> CheckResult:
 
     modulo ([p]_q)^3.
     """
-    _require_prime(p, "q_ljunggren", minimum=5)
-    _require(0 <= b <= a, f"q_ljunggren needs 0 <= b <= a, got a={a}, b={b}")
-    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, a, b, k))
-    return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
+    return _check_binomial("q_ljunggren", p, a, b, k, lambda: _ljunggren_term(p))
 
 
 def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
@@ -275,12 +280,7 @@ def check_cong2(p: int, a: int, b: int, k: int = 3) -> CheckResult:
 
     modulo ([p]_q)^3.
     """
-    _require_prime(p, "cong2", minimum=5)
-    _require(0 <= b <= a, f"cong2 needs 0 <= b <= a, got a={a}, b={b}")
-    # C_q(2p, p) - (1 + q^(p^2)) is the gap at (a, b) = (2, 1)
-    correction = comb(a, b + 1) * comb(b + 1, 2) * _binomial_gap(p, 2, 1, k, 0)
-    diff = CongruenceContext(p, k).reduce(_binomial_gap(p, a, b, k, correction))
-    return CheckResult({"p": p, "a": a, "b": b, "k": k}, diff)
+    return _check_binomial("cong2", p, a, b, k, lambda: _binomial_gap(p, 2, 1, k, 0))
 
 
 def check_q_wolstenholme(p: int, k: int = 3) -> CheckResult:
@@ -290,8 +290,7 @@ def check_q_wolstenholme(p: int, k: int = 3) -> CheckResult:
 
     modulo ([p]_q)^3.  This is the a=2, b=1 case of check_q_ljunggren.
     """
-    _require_prime(p, "q_wolstenholme", minimum=5)
-    diff = CongruenceContext(p, k).reduce(_ljunggren_gap(p, 2, 1, k))
+    _, diff = _check_binomial("q_wolstenholme", p, 2, 1, k, lambda: _ljunggren_term(p))
     return CheckResult({"p": p, "k": k}, diff)
 
 
@@ -416,7 +415,7 @@ def check_jacobsthal(p: int, a: int, b: int) -> CheckResult:
         r += 1
     residue = (comb(a * p, b * p) - comb(a, b)) % p ** (3 + r)
     identity_gap = value - 2 * a * comb(a, b + 1) * comb(b + 1, 2)
-    q_exponent = CongruenceContext(p, 5).valuation(_ljunggren_gap(p, a, b, 5))
+    q_exponent = CongruenceContext(p, 5).valuation(_binomial_gap(p, a, b, 5, _ljunggren_term(p)))
     return CheckResult(
         {"p": p, "a": a, "b": b, "r": r, "q_exponent": q_exponent},
         Poly((residue or identity_gap,)),

@@ -1,8 +1,11 @@
-"""Prefix sums are taken only in qcong.poly: by Poly.times_q_number, and by
-one stride-sum helper, _stride_sums, shared by the q-binomial step
-poly.half_times_q_ratio and the fold modulo (q^p - 1)^k, Poly.fold.
+"""Prefix sums are taken only in qcong.poly, by one stride-sum helper,
+_stride_sums, shared by the q-integer kernel Poly.times_q_number (stride
+over, the divisor [over]_q), the q-binomial step poly.half_times_q_ratio and
+the fold modulo (q^p - 1)^k, Poly.fold.
 No other module takes prefix sums or names that helper, and no other module
 defines a fold or the block count, FOLD_BLOCK_CUTOFF, that picks its loop.
+Monic division has one src caller: CongruenceContext.reduce divides by the
+modulus, and valuation divides by [p]_q with times_q_number.
 
 A Gaussian binomial reaches its residue by one path: the only reduce of a
 q_binomial(...) call is in statements.binomial_residue, and qcong.cli, whose
@@ -88,6 +91,34 @@ def test_only_poly_defines_the_fold():
         if _defines_a_fold(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert users == ["poly.py"]
+
+
+class _MonicDivisions(ast.NodeVisitor):
+    """Records the enclosing Class.function of every .divrem_monic(...) call."""
+
+    def __init__(self) -> None:
+        self.scope, self.found = [], []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "divrem_monic":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_reduce_divides_by_a_monic_polynomial():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _MonicDivisions()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [(path.name, scope) for scope in visitor.found]
+    assert found == [("congruence.py", "CongruenceContext.reduce")]
 
 
 def _names(tree: ast.AST) -> set[str]:

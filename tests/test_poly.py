@@ -127,6 +127,35 @@ def test_times_q_number_edge_cases():
         Poly([1]).times_q_number(-1)
 
 
+@given(small_polys, hst.booleans(), hst.integers(0, 12), hst.integers(1, 12))
+def test_times_q_number_over_matches_monic_division(g, exact, m, over):
+    # f * [m]_q / [over]_q against the schoolbook division by [over]_q; f is
+    # a multiple of [over]_q half the time, so both outcomes are drawn
+    f = g * q_number(over) if exact else g
+    quot, rem = (f * q_number(m)).divrem_monic(q_number(over))
+    if rem:
+        with pytest.raises(NotDivisibleError):
+            f.times_q_number(m, over)
+    else:
+        assert f.times_q_number(m, over) == quot
+
+
+def test_times_q_number_over_edge_cases():
+    assert Poly().times_q_number(3, 7) == Poly()
+    assert Poly().times_q_number(0, 1) == Poly()
+    assert Poly([4, 5]).times_q_number(0, 9) == Poly()
+    # len(f) + m < over: a nonzero product is too short to divide
+    with pytest.raises(NotDivisibleError):
+        Poly([1, 2]).times_q_number(2, 9)
+    with pytest.raises(NotDivisibleError):
+        Poly([1]).times_q_number(1, 2)
+    assert q_number(5).times_q_number(1, 5) == Poly([1])
+    assert Poly([1]).times_q_number(6, 3) == Poly([1, 0, 0, 1])
+    for m, over in ((1, 0), (0, -2), (-1, 1)):
+        with pytest.raises(ValueError):
+            Poly([1]).times_q_number(m, over)
+
+
 def _lower_half(f: Poly) -> list[int]:
     return list(f.coeffs[:f.degree // 2 + 1])
 

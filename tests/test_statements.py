@@ -258,6 +258,25 @@ def test_q_ljunggren_specializes_to_classical(p, a, b):
     assert cres.params["binom_ok"] == 1
 
 
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("p", [5, 7])
+def test_binomial_checks_reduce_their_formulas_built_in_full(p, k):
+    # each docstring's congruence built at full size, with q_binomial and an
+    # explicit (q^p - 1)^2, against the check's residue, FAILs included: at
+    # k = 4 cong2 and q_ljunggren part, e.g. at (p, a, b) = (5, 2, 1)
+    ctx = CongruenceContext(p, k)
+    ljunggren = (p * p - 1) // 12 * (Poly.monomial(p) - 1) ** 2
+    central = q_binomial(2 * p, p) - 1 - Poly.monomial(p * p)
+    assert check_q_wolstenholme(p, k).residue == ctx.reduce(central + ljunggren)
+    for a in range(4):
+        for b in range(a + 1):
+            gap = q_binomial(a * p, b * p) - q_binomial(a, b).substitute_power(p * p)
+            scale = math.comb(a, b + 1) * math.comb(b + 1, 2)
+            assert check_clark(p, a, b, k).residue == ctx.reduce(gap)
+            assert check_q_ljunggren(p, a, b, k).residue == ctx.reduce(gap + scale * ljunggren)
+            assert check_cong2(p, a, b, k).residue == ctx.reduce(gap - scale * central)
+
+
 def test_shipan_p5():
     res = check_shipan(5)
     assert res.passed
@@ -482,8 +501,8 @@ def test_jacobsthal_q_exponent_is_at_least_three():
 def test_jacobsthal_q_exponent_is_the_gap_valuation_capped_at_five(monkeypatch, p, j):
     # the real gaps all have valuation 3 on the catalog's grid, so feed gaps
     # of known valuation: ([p]_q)^j times the unit q + 2
-    monkeypatch.setattr(statements, "_ljunggren_gap",
-                        lambda p, a, b, k: modulus(p, j) * Poly([2, 1]))
+    monkeypatch.setattr(statements, "_binomial_gap",
+                        lambda p, a, b, k, term: modulus(p, j) * Poly([2, 1]))
     assert check_jacobsthal(p, 2, 1).params["q_exponent"] == min(j, 5)
 
 
@@ -661,13 +680,15 @@ def test_a_block_product_builds_each_unit_once(monkeypatch):
     scale=hst.integers(-3, 3),
 )
 def test_binomial_gap_reduces_like_the_full_gap(p, ab, k, scale):
-    # the short gap against C_q(ap, bp) - C_{q^(p^2)}(a, b) - correction built
-    # at full size, with a multiple of the Ljunggren correction: FAILs included
+    # the short gap against C_q(ap, bp) - C_{q^(p^2)}(a, b) - binom(a, b+1)
+    # binom(b+1, 2) term built at full size, with a multiple of the Ljunggren
+    # term: FAILs included
     a, b = ab
-    corr = scale * (Poly.monomial(p) - 1) ** 2
-    full = q_binomial(a * p, b * p) - q_binomial(a, b).substitute_power(p * p) - corr
+    term = scale * (Poly.monomial(p) - 1) ** 2
+    full = (q_binomial(a * p, b * p) - q_binomial(a, b).substitute_power(p * p)
+            - math.comb(a, b + 1) * math.comb(b + 1, 2) * term)
     ctx = CongruenceContext(p, k)
-    assert ctx.reduce(statements._binomial_gap(p, a, b, k, corr)) == ctx.reduce(full)
+    assert ctx.reduce(statements._binomial_gap(p, a, b, k, term)) == ctx.reduce(full)
 
 
 @pytest.mark.parametrize("check,count", [
